@@ -77,6 +77,18 @@ jobKindName(SimJob::Kind kind)
     panic("unknown SimJob::Kind %d", static_cast<int>(kind));
 }
 
+std::optional<SimJob::Kind>
+parseJobKind(std::string_view tag)
+{
+    for (SimJob::Kind kind :
+         {SimJob::Kind::Plain, SimJob::Kind::IdealAware,
+          SimJob::Kind::IdealUnaware}) {
+        if (tag == jobKindName(kind))
+            return kind;
+    }
+    return std::nullopt;
+}
+
 void
 setJobCount(unsigned n)
 {

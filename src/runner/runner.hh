@@ -20,6 +20,8 @@
 #define KAGURA_RUNNER_RUNNER_HH
 
 #include <functional>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "sim/sim_config.hh"
@@ -47,6 +49,9 @@ struct SimJob
 
 /** Stable tag naming a job kind (part of the cache key). */
 const char *jobKindName(SimJob::Kind kind);
+
+/** jobKindName() inverse (nullopt for an unknown tag). */
+std::optional<SimJob::Kind> parseJobKind(std::string_view tag);
 
 /**
  * Set the worker count for subsequent runJobs() calls; 0 restores the

@@ -1,11 +1,6 @@
 #include "sim/sim_config.hh"
 
-#include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
-
-#include "common/logging.hh"
-#include "trace/trace_workload.hh"
 
 namespace kagura
 {
@@ -65,132 +60,6 @@ SimConfig::describe() const
                 out += "+Kagura";
         }
     }
-    return out;
-}
-
-namespace
-{
-
-void
-keyf(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-keyf(std::string &out, const char *fmt, ...)
-{
-    va_list args;
-    va_start(args, fmt);
-    char buf[256];
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    out += buf;
-    out += '\n';
-}
-
-void
-appendCacheConfig(std::string &out, const char *name,
-                  const CacheConfig &cache)
-{
-    keyf(out, "%s.size_bytes=%u", name, cache.sizeBytes);
-    keyf(out, "%s.ways=%u", name, cache.ways);
-    keyf(out, "%s.block_size=%u", name, cache.blockSize);
-    keyf(out, "%s.segment_bytes=%u", name, cache.segmentBytes);
-    keyf(out, "%s.replacement=%s", name,
-         replacementPolicyName(cache.replacement));
-    // Conditional emission, like the optional trace lines: the
-    // baseline layout predates this key, so emitting it would
-    // invalidate every cached result (and the committed fixture) for
-    // configurations whose behavior did not change.
-    if (cache.tagLayout != TagLayoutKind::Baseline) {
-        keyf(out, "%s.tag_layout=%s", name,
-             tagLayoutName(cache.tagLayout));
-    }
-    // Same trick for the signature width: 6-bit signatures predate
-    // this key (SignatureTags' historical constant).
-    if (cache.sigBits != 6)
-        keyf(out, "%s.sig_bits=%u", name, cache.sigBits);
-}
-
-} // namespace
-
-std::string
-SimConfig::canonicalKey() const
-{
-    std::string out;
-    out.reserve(1536);
-    keyf(out, "workload=%s", workload.c_str());
-    // Trace-backed workloads live in a file, not the name: fold the
-    // file's content hash (and resolved path) into the key so stale
-    // .kagura-cache entries miss when the trace changes. Referencing
-    // the trace subsystem here also guarantees its workload resolver
-    // is linked into every simulator binary.
-    out += trace::traceWorkloadKeyLines(workload);
-    appendCacheConfig(out, "icache", icache);
-    appendCacheConfig(out, "dcache", dcache);
-    // Conditional L2 lines, like the optional tag_layout keys: the
-    // hierarchy refactor must not move any no-L2 key, or every cached
-    // result (and the committed fixture) would churn for
-    // configurations whose behavior did not change.
-    if (enableL2) {
-        keyf(out, "l2.enabled=1");
-        appendCacheConfig(out, "l2", l2);
-        keyf(out, "l2.governor=%s", governorKindName(l2Governor));
-        keyf(out, "l2.kagura=%d", l2Kagura ? 1 : 0);
-    }
-    keyf(out, "governor=%s", governorKindName(governor));
-    keyf(out, "compressor=%s", compressorKindName(compressor));
-    keyf(out, "kagura.enabled=%d", enableKagura ? 1 : 0);
-    keyf(out, "kagura.scheme=%s", adaptSchemeName(kagura.scheme));
-    keyf(out, "kagura.increase_step=%.17g", kagura.increaseStep);
-    keyf(out, "kagura.counter_bits=%u", kagura.counterBits);
-    keyf(out, "kagura.history_depth=%u", kagura.historyDepth);
-    keyf(out, "kagura.trigger=%s", triggerKindName(kagura.trigger));
-    keyf(out, "kagura.initial_threshold=%" PRIu64,
-         kagura.initialThreshold);
-    keyf(out, "kagura.reward_band=%.17g", kagura.rewardBand);
-    keyf(out, "kagura.voltage_trigger_fraction=%.17g",
-         kagura.voltageTriggerFraction);
-    keyf(out, "kagura.apply_adjustment=%d",
-         kagura.applyAdjustment ? 1 : 0);
-    keyf(out, "kagura.adaptive_threshold=%d",
-         kagura.adaptiveThreshold ? 1 : 0);
-    keyf(out, "ehs=%s", ehsKindName(ehs));
-    keyf(out, "nvm.type=%s", nvmTypeName(nvmType));
-    keyf(out, "nvm.bytes=%" PRIu64, nvmBytes);
-    keyf(out, "capacitor.capacitance=%.17g", capacitor.capacitance);
-    keyf(out, "capacitor.v_max=%.17g", capacitor.vMax);
-    keyf(out, "capacitor.v_restore=%.17g", capacitor.vRestore);
-    keyf(out, "capacitor.v_checkpoint=%.17g", capacitor.vCheckpoint);
-    keyf(out, "capacitor.v_shutdown=%.17g", capacitor.vShutdown);
-    keyf(out, "capacitor.leakage_per_farad=%.17g",
-         capacitor.leakagePerFarad);
-    keyf(out, "energy.clock_hz=%.17g", energy.clockHz);
-    keyf(out, "energy.core_per_instr=%.17g", energy.corePerInstr);
-    keyf(out, "energy.core_leakage=%.17g", energy.coreLeakage);
-    keyf(out, "energy.cache_access=%.17g", energy.cacheAccess);
-    keyf(out, "energy.cache_leakage_per_byte=%.17g",
-         energy.cacheLeakagePerByte);
-    keyf(out, "energy.nvff_write=%.17g", energy.nvffWrite);
-    keyf(out, "energy.nvff_read=%.17g", energy.nvffRead);
-    keyf(out, "energy.monitor_sample=%.17g", energy.monitorSample);
-    keyf(out, "energy.extended_monitor_sample=%.17g",
-         energy.extendedMonitorSample);
-    keyf(out, "energy.reboot_latency=%" PRIu64, energy.rebootLatency);
-    keyf(out, "energy.reboot_energy=%.17g", energy.rebootEnergy);
-    keyf(out, "energy.compaction_energy=%.17g",
-         energy.compactionEnergy);
-    keyf(out, "energy.trace_interval=%.17g", energy.traceInterval);
-    keyf(out, "trace.kind=%s", traceKindName(trace));
-    keyf(out, "trace.seed=%" PRIu64, traceSeed);
-    keyf(out, "trace.scale=%.17g", traceScale);
-    keyf(out, "trace.intervals=%" PRIu64, traceIntervals);
-    keyf(out, "decay.enabled=%d", enableDecay ? 1 : 0);
-    keyf(out, "decay.interval=%" PRIu64, decay.decayInterval);
-    keyf(out, "prefetch.enabled=%d", enablePrefetch ? 1 : 0);
-    keyf(out, "infinite_energy=%d", infiniteEnergy ? 1 : 0);
-    keyf(out, "io_region.interval=%" PRIu64, ioRegionInterval);
-    keyf(out, "io_region.length=%" PRIu64, ioRegionLength);
-    keyf(out, "oracle.mode=%d", static_cast<int>(oracle));
     return out;
 }
 

@@ -15,7 +15,7 @@
 #include "runner/config_hash.hh"
 #include "runner/result_codec.hh"
 #include "runner/runner.hh"
-#include "sweepd/config_codec.hh"
+#include "sim/config_fields.hh"
 #include "sweepd/manifest.hh"
 #include "sweepd/protocol.hh"
 
@@ -352,7 +352,7 @@ SweepDaemon::handleSubmit(std::shared_ptr<Connection> conn,
     batch->jobHashes.reserve(submit.jobs.size());
     for (std::size_t i = 0; i < submit.jobs.size(); ++i) {
         const JobSpec &spec = submit.jobs[i];
-        const auto kind = parseJobKind(spec.kind);
+        const auto kind = runner::parseJobKind(spec.kind);
         if (!kind) {
             sendError(*conn,
                       static_cast<std::uint16_t>(ErrorCode::BadJob),
@@ -363,10 +363,10 @@ SweepDaemon::handleSubmit(std::shared_ptr<Connection> conn,
         runner::SimJob job;
         job.kind = *kind;
         std::string parse_error;
-        const ParseStatus status = parseCanonicalKey(
+        const KeyParseStatus status = parseCanonicalKey(
             spec.canonicalKey, job.config, parse_error);
-        if (status != ParseStatus::Ok) {
-            const ErrorCode code = status == ParseStatus::TraceMismatch
+        if (status != KeyParseStatus::Ok) {
+            const ErrorCode code = status == KeyParseStatus::TraceMismatch
                                        ? ErrorCode::TraceMismatch
                                        : ErrorCode::BadJob;
             sendError(*conn, static_cast<std::uint16_t>(code),

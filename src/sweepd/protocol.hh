@@ -20,11 +20,12 @@
  * Job transport: SUBMIT carries a batch of (job kind, canonical key)
  * pairs -- SimConfig travels as its canonicalKey() text, the same
  * canonical serialization that names result-cache entries, and is
- * reparsed on the daemon side (sweepd/config_codec.hh). RESULT frames
- * stream back as jobs finish, tagged with the job's index in the
- * batch, so the client reassembles the runner's index-slotted,
- * bit-identical aggregation regardless of completion order. BATCH_DONE
- * closes the batch with aggregate counters.
+ * reparsed on the daemon side (parseCanonicalKey(),
+ * sim/config_fields.hh). RESULT frames stream back as jobs finish,
+ * tagged with the job's index in the batch, so the client reassembles
+ * the runner's index-slotted, bit-identical aggregation regardless of
+ * completion order. BATCH_DONE closes the batch with aggregate
+ * counters.
  *
  * Remote cache: CACHE_GET / CACHE_PUT address the daemon's sharded
  * .kagura-cache by (64-bit canonical-key hash, full key text), making

@@ -25,10 +25,10 @@
 #include "mem/nvm.hh"
 #include "runner/result_codec.hh"
 #include "runner/runner.hh"
+#include "sim/config_fields.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
-#include "sweepd/config_codec.hh"
 #include "tags/layout.hh"
 
 namespace kagura
@@ -495,8 +495,8 @@ TEST(HierarchyConfig, L2KeysRoundTripThroughTheCodec)
 
     SimConfig parsed;
     std::string error;
-    ASSERT_EQ(sweepd::parseCanonicalKey(key, parsed, error),
-              sweepd::ParseStatus::Ok)
+    ASSERT_EQ(parseCanonicalKey(key, parsed, error),
+              KeyParseStatus::Ok)
         << error;
     EXPECT_EQ(parsed.canonicalKey(), key);
     EXPECT_TRUE(parsed.enableL2);
@@ -519,8 +519,8 @@ TEST(HierarchyConfig, SigBitsIsEmittedOnlyWhenNonDefault)
     EXPECT_NE(key.find("dcache.sig_bits=10"), std::string::npos);
     SimConfig parsed;
     std::string error;
-    ASSERT_EQ(sweepd::parseCanonicalKey(key, parsed, error),
-              sweepd::ParseStatus::Ok)
+    ASSERT_EQ(parseCanonicalKey(key, parsed, error),
+              KeyParseStatus::Ok)
         << error;
     EXPECT_EQ(parsed.dcache.sigBits, 10u);
     EXPECT_EQ(parsed.canonicalKey(), key);
@@ -546,44 +546,44 @@ TEST(HierarchyConfig, CodecRejectsMalformedL2Keys)
     // Explicit-default spelling: the emitter omits l2.* lines for
     // single-level configs, so l2.enabled=0 is non-canonical and the
     // round-trip law must reject it (typed BadJob at the daemon).
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(parseCanonicalKey(
                   replaceLine(good, "l2.enabled=1", "l2.enabled=0"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              KeyParseStatus::Malformed);
 
     // An l2.* line without l2.enabled=1 fails the round-trip too.
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(parseCanonicalKey(
                   replaceLine(good, "l2.enabled=1\n", ""), parsed,
                   error),
-              sweepd::ParseStatus::Malformed);
+              KeyParseStatus::Malformed);
 
     // Unknown governor: typed Malformed, never a silent fallback.
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(parseCanonicalKey(
                   replaceLine(good, "l2.governor=ACC",
                               "l2.governor=bogus"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              KeyParseStatus::Malformed);
 
     // Garbage values in typed l2 fields.
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(parseCanonicalKey(
                   replaceLine(good, "l2.kagura=1", "l2.kagura=maybe"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+              KeyParseStatus::Malformed);
+    EXPECT_EQ(parseCanonicalKey(
                   replaceLine(good, "l2.size_bytes=1024", "l2.size_bytes=huge"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              KeyParseStatus::Malformed);
 
     // Explicit-default signature width is non-canonical as well.
     SimConfig sig = accKaguraConfig("crc32");
     sig.dcache.tagLayout = TagLayoutKind::Signature;
-    EXPECT_EQ(sweepd::parseCanonicalKey(
+    EXPECT_EQ(parseCanonicalKey(
                   replaceLine(sig.canonicalKey(),
                               "dcache.tag_layout=signature",
                               "dcache.tag_layout=signature\n"
                               "dcache.sig_bits=6"),
                   parsed, error),
-              sweepd::ParseStatus::Malformed);
+              KeyParseStatus::Malformed);
     EXPECT_NE(error.find("round-trip"), std::string::npos);
 }
 
@@ -593,7 +593,7 @@ TEST(HierarchyConfig, L2SpecGrammarCoversTheGridAxis)
     // `kagura_sim --l2`: none | SIZExWAYS[:GOVERNOR[+kagura]].
     SimConfig cfg;
     std::string error;
-    ASSERT_TRUE(sweepd::applyL2Spec("1024x4:acc+kagura", cfg, error))
+    ASSERT_TRUE(applyL2Spec("1024x4:acc+kagura", cfg, error))
         << error;
     EXPECT_TRUE(cfg.enableL2);
     EXPECT_EQ(cfg.l2.sizeBytes, 1024u);
@@ -601,23 +601,23 @@ TEST(HierarchyConfig, L2SpecGrammarCoversTheGridAxis)
     EXPECT_EQ(cfg.l2Governor, GovernorKind::Acc);
     EXPECT_TRUE(cfg.l2Kagura);
 
-    ASSERT_TRUE(sweepd::applyL2Spec("2048x8", cfg, error)) << error;
+    ASSERT_TRUE(applyL2Spec("2048x8", cfg, error)) << error;
     EXPECT_TRUE(cfg.enableL2);
     EXPECT_EQ(cfg.l2.sizeBytes, 2048u);
     EXPECT_EQ(cfg.l2Governor, GovernorKind::None);
     EXPECT_FALSE(cfg.l2Kagura);
 
-    ASSERT_TRUE(sweepd::applyL2Spec("none", cfg, error)) << error;
+    ASSERT_TRUE(applyL2Spec("none", cfg, error)) << error;
     EXPECT_FALSE(cfg.enableL2);
 
     // Malformed specs fail typed, never fall back silently.
-    EXPECT_FALSE(sweepd::applyL2Spec("1024", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x0", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("x4", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x4:bogus", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x4:none", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x4:acc+turbo", cfg, error));
-    EXPECT_FALSE(sweepd::applyL2Spec("1024x4:+kagura", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x0", cfg, error));
+    EXPECT_FALSE(applyL2Spec("x4", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x4:bogus", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x4:none", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x4:acc+turbo", cfg, error));
+    EXPECT_FALSE(applyL2Spec("1024x4:+kagura", cfg, error));
 }
 
 // ---------------------------------------------------------------

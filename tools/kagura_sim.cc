@@ -26,9 +26,9 @@
 #include "runner/cache_store.hh"
 #include "runner/progress.hh"
 #include "runner/runner.hh"
+#include "sim/config_fields.hh"
 #include "sim/experiment.hh"
 #include "sim/report.hh"
-#include "sweepd/config_codec.hh"
 
 using namespace kagura;
 
@@ -38,33 +38,36 @@ namespace
 void
 usage()
 {
-    std::puts(
+    std::printf(
         "kagura_sim -- intermittence-aware cache compression simulator\n"
         "\n"
         "usage: kagura_sim [options]\n"
+        "\n"
+        "Enum values are case-insensitive and may drop '-'.\n"
         "\n"
         "workload:\n"
         "  --app NAME            application (default crc32; --list-apps)\n"
         "  --list-apps           print the 20 applications and exit\n"
         "\n"
         "compression stack:\n"
-        "  --governor KIND       none | always | acc   (default none)\n"
-        "  --compressor KIND     bdi | fpc | cpack | dzc (default bdi)\n"
+        "  --governor KIND       %s (default none)\n"
+        "  --compressor KIND     %s\n"
+        "                        (default bdi)\n"
         "  --kagura              wrap the governor in Kagura\n"
-        "  --trigger KIND        mem | vol              (default mem)\n"
-        "  --scheme KIND         aimd | miad | aiad | mimd\n"
+        "  --trigger KIND        %s (default mem)\n"
+        "  --scheme KIND         %s\n"
         "  --increase-step PCT   R_thres additive step  (default 10)\n"
         "  --counter-bits N      reward counter width   (default 2)\n"
         "  --history-depth N     past cycles for N_prev (default 1)\n"
         "  --ideal               two-phase ideal oracle (aware)\n"
         "\n"
         "platform:\n"
-        "  --ehs KIND            nvsram | nvmr | sweepcache |\n"
-        "                        taskbased | specpersist\n"
+        "  --ehs KIND            %s\n"
+        "                        (default nvsramcache, alias nvsram)\n"
         "  --cache-bytes N       I/D cache size each    (default 256)\n"
         "  --ways N              associativity          (default 2)\n"
         "  --block-bytes N       cache block size       (default 32)\n"
-        "  --tag-layout KIND     baseline | superblock | signature\n"
+        "  --tag-layout KIND     %s\n"
         "                        (I/D tag organization, default\n"
         "                        baseline; see docs/TAGS.md)\n"
         "  --sig-bits N          signature width in bits for the\n"
@@ -74,10 +77,10 @@ usage()
         "                        e.g. 1024x4:acc+kagura (default none;\n"
         "                        see docs/HIERARCHY.md)\n"
         "  --l2-tag-layout KIND  L2 tag organization (default baseline)\n"
-        "  --nvm KIND            reram | pcm | sttram\n"
+        "  --nvm KIND            %s (default reram)\n"
         "  --nvm-mb N            NVM capacity in MB     (default 16)\n"
         "  --cap-uf X            capacitance in uF      (default 4.7)\n"
-        "  --trace KIND          rfhome | solar | thermal | constant\n"
+        "  --trace KIND          %s\n"
         "  --trace-seed N        ambient realisation seed\n"
         "  --decay               enable EDBP dead-block prediction\n"
         "  --prefetch            enable IPEX prefetching\n"
@@ -105,7 +108,15 @@ usage()
         "                        cycle and series, labelled with\n"
         "                        cycle_index ($KAGURA_METRICS_TIMESERIES)\n"
         "  --quiet               suppress the banner\n"
-        "  --verbose             per-run inform() status output\n");
+        "  --verbose             per-run inform() status output\n",
+        enumChoices<GovernorKind>().c_str(),
+        enumChoices<CompressorKind>().c_str(),
+        enumChoices<TriggerKind>().c_str(),
+        enumChoices<AdaptScheme>().c_str(),
+        enumChoices<EhsKind>().c_str(),
+        enumChoices<TagLayoutKind>().c_str(),
+        enumChoices<NvmType>().c_str(),
+        enumChoices<TraceKind>().c_str());
 }
 
 [[noreturn]] void
@@ -120,6 +131,19 @@ nextArg(int argc, char **argv, int &i)
     if (i + 1 >= argc)
         fatal("flag %s needs a value (see --help)", argv[i]);
     return argv[++i];
+}
+
+/** The value of enum flag argv[i], through the one name parser. */
+template <typename E>
+E
+enumArg(int argc, char **argv, int &i)
+{
+    const char *flag = argv[i];
+    const char *value = nextArg(argc, argv, i);
+    const auto parsed = parseEnum<E>(value);
+    if (!parsed)
+        badValue(flag, value);
+    return *parsed;
 }
 
 void
@@ -209,51 +233,17 @@ main(int argc, char **argv)
         } else if (is("--app")) {
             cfg.workload = nextArg(argc, argv, i);
         } else if (is("--governor")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "none")
-                cfg.governor = GovernorKind::None;
-            else if (v == "always")
-                cfg.governor = GovernorKind::Always;
-            else if (v == "acc")
-                cfg.governor = GovernorKind::Acc;
-            else
-                badValue("--governor", v.c_str());
+            cfg.governor = enumArg<GovernorKind>(argc, argv, i);
         } else if (is("--compressor")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "bdi")
-                cfg.compressor = CompressorKind::Bdi;
-            else if (v == "fpc")
-                cfg.compressor = CompressorKind::Fpc;
-            else if (v == "cpack")
-                cfg.compressor = CompressorKind::CPack;
-            else if (v == "dzc")
-                cfg.compressor = CompressorKind::Dzc;
-            else
-                badValue("--compressor", v.c_str());
+            cfg.compressor = enumArg<CompressorKind>(argc, argv, i);
         } else if (is("--kagura")) {
             cfg.enableKagura = true;
             if (cfg.governor == GovernorKind::None)
                 cfg.governor = GovernorKind::Acc;
         } else if (is("--trigger")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "mem")
-                cfg.kagura.trigger = TriggerKind::Memory;
-            else if (v == "vol")
-                cfg.kagura.trigger = TriggerKind::Voltage;
-            else
-                badValue("--trigger", v.c_str());
+            cfg.kagura.trigger = enumArg<TriggerKind>(argc, argv, i);
         } else if (is("--scheme")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "aimd")
-                cfg.kagura.scheme = AdaptScheme::Aimd;
-            else if (v == "miad")
-                cfg.kagura.scheme = AdaptScheme::Miad;
-            else if (v == "aiad")
-                cfg.kagura.scheme = AdaptScheme::Aiad;
-            else if (v == "mimd")
-                cfg.kagura.scheme = AdaptScheme::Mimd;
-            else
-                badValue("--scheme", v.c_str());
+            cfg.kagura.scheme = enumArg<AdaptScheme>(argc, argv, i);
         } else if (is("--increase-step")) {
             cfg.kagura.increaseStep =
                 std::atof(nextArg(argc, argv, i)) / 100.0;
@@ -268,19 +258,7 @@ main(int argc, char **argv)
             if (cfg.governor == GovernorKind::None)
                 cfg.governor = GovernorKind::Acc;
         } else if (is("--ehs")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "nvsram")
-                cfg.ehs = EhsKind::NvsramCache;
-            else if (v == "nvmr")
-                cfg.ehs = EhsKind::NvMR;
-            else if (v == "sweepcache")
-                cfg.ehs = EhsKind::SweepCache;
-            else if (v == "taskbased")
-                cfg.ehs = EhsKind::TaskBased;
-            else if (v == "specpersist")
-                cfg.ehs = EhsKind::SpecPersist;
-            else
-                badValue("--ehs", v.c_str());
+            cfg.ehs = enumArg<EhsKind>(argc, argv, i);
         } else if (is("--cache-bytes")) {
             const unsigned bytes = static_cast<unsigned>(
                 std::atoi(nextArg(argc, argv, i)));
@@ -297,12 +275,8 @@ main(int argc, char **argv)
             cfg.icache.blockSize = block;
             cfg.dcache.blockSize = block;
         } else if (is("--tag-layout")) {
-            const char *v = nextArg(argc, argv, i);
-            const auto kind = tags::parseTagLayoutKind(v);
-            if (!kind)
-                badValue("--tag-layout", v);
-            cfg.icache.tagLayout = *kind;
-            cfg.dcache.tagLayout = *kind;
+            cfg.icache.tagLayout = cfg.dcache.tagLayout =
+                enumArg<TagLayoutKind>(argc, argv, i);
         } else if (is("--sig-bits")) {
             const char *v = nextArg(argc, argv, i);
             const int bits = std::atoi(v);
@@ -314,24 +288,12 @@ main(int argc, char **argv)
         } else if (is("--l2")) {
             const char *v = nextArg(argc, argv, i);
             std::string error;
-            if (!sweepd::applyL2Spec(v, cfg, error))
+            if (!applyL2Spec(v, cfg, error))
                 fatal("--l2: %s", error.c_str());
         } else if (is("--l2-tag-layout")) {
-            const char *v = nextArg(argc, argv, i);
-            const auto kind = tags::parseTagLayoutKind(v);
-            if (!kind)
-                badValue("--l2-tag-layout", v);
-            cfg.l2.tagLayout = *kind;
+            cfg.l2.tagLayout = enumArg<TagLayoutKind>(argc, argv, i);
         } else if (is("--nvm")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "reram")
-                cfg.nvmType = NvmType::ReRam;
-            else if (v == "pcm")
-                cfg.nvmType = NvmType::Pcm;
-            else if (v == "sttram")
-                cfg.nvmType = NvmType::SttRam;
-            else
-                badValue("--nvm", v.c_str());
+            cfg.nvmType = enumArg<NvmType>(argc, argv, i);
         } else if (is("--nvm-mb")) {
             cfg.nvmBytes = static_cast<std::uint64_t>(
                                std::atoi(nextArg(argc, argv, i)))
@@ -340,17 +302,7 @@ main(int argc, char **argv)
             cfg.capacitor.capacitance =
                 std::atof(nextArg(argc, argv, i)) * 1e-6;
         } else if (is("--trace")) {
-            const std::string v = nextArg(argc, argv, i);
-            if (v == "rfhome")
-                cfg.trace = TraceKind::RfHome;
-            else if (v == "solar")
-                cfg.trace = TraceKind::Solar;
-            else if (v == "thermal")
-                cfg.trace = TraceKind::Thermal;
-            else if (v == "constant")
-                cfg.trace = TraceKind::Constant;
-            else
-                badValue("--trace", v.c_str());
+            cfg.trace = enumArg<TraceKind>(argc, argv, i);
         } else if (is("--trace-seed")) {
             cfg.traceSeed = static_cast<std::uint64_t>(
                 std::strtoull(nextArg(argc, argv, i), nullptr, 0));

@@ -32,11 +32,12 @@
 
 #include "common/logging.hh"
 #include "runner/cache_store.hh"
+#include "runner/progress.hh"
 #include "runner/runner.hh"
+#include "sim/config_fields.hh"
 #include "sim/experiment.hh"
 #include "sweepd/cache_maint.hh"
 #include "sweepd/client.hh"
-#include "sweepd/config_codec.hh"
 
 using namespace kagura;
 
@@ -46,7 +47,7 @@ namespace
 void
 usage()
 {
-    std::puts(
+    std::printf(
         "kagura_sweep -- sweep daemon control (kagura.sweep/v1)\n"
         "\n"
         "usage: kagura_sweep COMMAND [options]\n"
@@ -64,13 +65,18 @@ usage()
         "grid [--apps A,B|all] [--compressors C,..] [--ehs E,..]\n"
         "     [--cap-uf X,..] [--traces T,..] [--l2 L,..] [--seeds N]\n"
         "     [--kagura] [--manifest ID] [--local]\n"
-        "  an --l2 axis value is none or SIZExWAYS[:GOVERNOR[+kagura]]\n"
-        "  (e.g. none,1024x4,1024x4:acc+kagura); --ehs values are\n"
-        "  nvsramcache,nvmr,sweepcache,taskbased,specpersist\n"
         "  expand the cross product and run it (via the daemon, or\n"
         "  in-process with --local / when the daemon is unreachable)\n"
+        "  --compressors: %s\n"
+        "  --ehs:         %s\n"
+        "  --traces:      %s\n"
+        "  (case-insensitive, '-' optional)\n"
+        "  --l2:          none | SIZExWAYS[:GOVERNOR[+kagura]]\n"
+        "                 (e.g. none,1024x4,1024x4:acc+kagura)\n"
         "cache stats [--dir PATH]\n"
-        "cache gc [--dir PATH] [--max-bytes N[K|M|G]] [--max-age N[h|d]]\n");
+        "cache gc [--dir PATH] [--max-bytes N[K|M|G]] [--max-age N[h|d]]\n",
+        enumChoices<CompressorKind>().c_str(),
+        enumChoices<EhsKind>().c_str(), enumChoices<TraceKind>().c_str());
 }
 
 std::string
@@ -159,6 +165,22 @@ struct Args
         return argv[i++];
     }
 };
+
+/** A grid axis's names, each through the config enum's one parser. */
+template <typename E>
+std::vector<E>
+parseAxis(const std::vector<std::string> &names, const char *axis)
+{
+    std::vector<E> out;
+    for (const std::string &name : names) {
+        const auto value = parseEnum<E>(name);
+        if (!value)
+            fatal("grid: unknown %s '%s' (want %s)", axis, name.c_str(),
+                  enumChoices<E>().c_str());
+        out.push_back(*value);
+    }
+    return out;
+}
 
 bool
 connectOrDie(sweepd::SweepClient &client, const std::string &socket)
@@ -388,33 +410,15 @@ cmdGrid(const std::string &socket, Args &args)
         seeds = 1;
 
     // Validate axis values up front so a typo fails before any work.
-    std::vector<CompressorKind> comp;
-    for (const std::string &name : compressors) {
-        const auto kind = sweepd::parseCompressorKind(name);
-        if (!kind)
-            fatal("grid: unknown compressor '%s'", name.c_str());
-        comp.push_back(*kind);
-    }
-    std::vector<EhsKind> ehs;
-    for (const std::string &name : ehsKinds) {
-        const auto kind = sweepd::parseEhsKind(name);
-        if (!kind)
-            fatal("grid: unknown ehs '%s'", name.c_str());
-        ehs.push_back(*kind);
-    }
-    std::vector<TraceKind> traceKinds;
-    for (const std::string &name : traces) {
-        const auto kind = sweepd::parseTraceKind(name);
-        if (!kind)
-            fatal("grid: unknown trace '%s'", name.c_str());
-        traceKinds.push_back(*kind);
-    }
+    const auto comp = parseAxis<CompressorKind>(compressors, "compressor");
+    const auto ehs = parseAxis<EhsKind>(ehsKinds, "ehs");
+    const auto traceKinds = parseAxis<TraceKind>(traces, "trace");
     if (l2Specs.empty())
         l2Specs = {"none"};
     for (const std::string &spec : l2Specs) {
         SimConfig probe;
         std::string error;
-        if (!sweepd::applyL2Spec(spec, probe, error))
+        if (!applyL2Spec(spec, probe, error))
             fatal("grid: %s", error.c_str());
     }
 
@@ -437,8 +441,7 @@ cmdGrid(const std::string &socket, Args &args)
                                 uf * 1e-6;
                             job.config.trace = t;
                             std::string l2_error;
-                            sweepd::applyL2Spec(l2, job.config,
-                                                l2_error);
+                            applyL2Spec(l2, job.config, l2_error);
                             job.config.traceSeed = suiteSeed(s);
                             jobs.push_back(std::move(job));
                         }
@@ -488,8 +491,18 @@ cmdGrid(const std::string &socket, Args &args)
         }
     }
     if (!viaDaemon) {
+        // In-process, the runner's own counters say how each job was
+        // served (only the daemon fills BATCH_DONE).
+        const runner::TelemetrySnapshot before =
+            runner::progress().snapshot();
         results = runner::runJobs(jobs);
+        const runner::TelemetrySnapshot after =
+            runner::progress().snapshot();
         done.total = static_cast<std::uint32_t>(jobs.size());
+        done.cacheHits =
+            static_cast<std::uint32_t>(after.cacheHits - before.cacheHits);
+        done.simulations = static_cast<std::uint32_t>(after.simulations -
+                                                      before.simulations);
     }
     const double elapsed =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
