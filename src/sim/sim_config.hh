@@ -121,6 +121,8 @@ struct SimConfig
      * identically under them. Excluded by design: `verbose` (output
      * only) and `oracleLog` (runtime pointer; cacheable jobs carry
      * their oracle phase in the runner's job-kind tag instead).
+     * Generated from the field table in sim/config_fields.cc, which
+     * parseCanonicalKey() inverts.
      */
     std::string canonicalKey() const;
 };
