@@ -16,7 +16,7 @@
 
 #include "bench_common.hh"
 #include "metrics/sink.hh"
-#include "repl/kind.hh"
+#include "sim/config_fields.hh"
 
 using namespace kagura;
 
@@ -31,7 +31,7 @@ main(int argc, char **argv)
 
     TextTable table;
     table.setHeader({"policy", "+ACC", "+ACC+Kagura"});
-    for (ReplKind policy : repl::allReplKinds()) {
+    for (ReplKind policy : EnumNames<ReplKind>::values()) {
         auto shaped = [policy](SimConfig cfg) {
             cfg.icache.replacement = policy;
             cfg.dcache.replacement = policy;

@@ -20,7 +20,7 @@
 
 #include "bench_common.hh"
 #include "metrics/sink.hh"
-#include "repl/kind.hh"
+#include "sim/config_fields.hh"
 
 using namespace kagura;
 
@@ -103,7 +103,7 @@ main(int argc, char **argv)
         std::map<std::string, double> bestOnline[2];
         std::map<std::string, double> optBound[2];
 
-        for (ReplKind policy : repl::allReplKinds()) {
+        for (ReplKind policy : EnumNames<ReplKind>::values()) {
             const std::string name = replacementPolicyName(policy);
             auto shaped = [policy, ehs](SimConfig cfg) {
                 cfg.ehs = ehs;

@@ -35,7 +35,7 @@
 
 #include "bench_common.hh"
 #include "metrics/sink.hh"
-#include "tags/kind.hh"
+#include "sim/config_fields.hh"
 
 using namespace kagura;
 
@@ -127,7 +127,7 @@ main(int argc, char **argv)
             std::string label;
         };
         std::vector<RowSpec> rows;
-        for (TagLayoutKind layout : tags::allTagLayoutKinds())
+        for (TagLayoutKind layout : EnumNames<TagLayoutKind>::values())
             rows.push_back({layout, ReplKind::Lru, tagLayoutName(layout)});
         rows.push_back({TagLayoutKind::Superblock, ReplKind::Dish,
                         std::string(tagLayoutName(
