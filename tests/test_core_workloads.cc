@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <set>
 
@@ -159,6 +160,28 @@ TEST(Workloads, DeterministicAcrossBuilds)
         EXPECT_EQ(a.ops()[i].value, b.ops()[i].value);
     }
     EXPECT_EQ(a.initialImage(), b.initialImage());
+}
+
+// Workload::fingerprint() of every suite app against
+// tests/data/workload_fingerprints.txt (`capture_goldens workloads`).
+// Unlike DeterministicAcrossBuilds, which compares two builds by the
+// same recorder, this catches a recorder change that alters the op
+// stream or the initial image.
+TEST(Workloads, EveryAppMatchesTheFingerprintGolden)
+{
+    std::ifstream in(std::string(KAGURA_TEST_DATA_DIR) +
+                     "/workload_fingerprints.txt");
+    ASSERT_TRUE(in) << "missing workload_fingerprints.txt";
+    std::map<std::string, std::uint64_t> golden;
+    std::string app, hex;
+    while (in >> app >> hex)
+        golden[app] = std::stoull(hex, nullptr, 16);
+    ASSERT_EQ(golden.size(), workloadNames().size());
+    for (const std::string &name : workloadNames()) {
+        ASSERT_EQ(golden.count(name), 1u) << name;
+        EXPECT_EQ(makeWorkload(name).fingerprint(), golden[name])
+            << name << " op stream or initial image changed";
+    }
 }
 
 class WorkloadProperties : public testing::TestWithParam<std::string>

@@ -10,6 +10,7 @@
  *   capture_goldens standard > tests/data/golden_results.txt
  *   capture_goldens ehs      > tests/data/golden_ehs_results.txt
  *   capture_goldens keys     > tests/data/canonical_keys.txt
+ *   capture_goldens workloads > tests/data/workload_fingerprints.txt
  *
  * "standard" emits one row per suite workload with the FNV-1a
  * fingerprint of the canonical SimResult encoding under the baseline,
@@ -18,7 +19,9 @@
  * designs (NVSRAMCache, NvMR, SweepCache) -- the parity table the
  * component-refactor suite checks. "keys" emits one row per
  * axisSampleConfigs() entry with the FNV-1a hash of its canonical key
- * (no simulation), pinning every key line byte for byte.
+ * (no simulation), pinning every key line byte for byte. "workloads"
+ * emits one row per suite app with Workload::fingerprint() (op stream
+ * plus initial image; no simulation), pinning the recorded kernels.
  *
  * Both modes take an optional `--tag-layout KIND` axis (baseline,
  * superblock, signature) applied to both caches of every config, so
@@ -136,10 +139,20 @@ captureKeys()
 }
 
 int
+captureWorkloads()
+{
+    for (const std::string &app : workloadNames())
+        std::printf("%s %016llx\n", app.c_str(),
+                    static_cast<unsigned long long>(
+                        makeWorkload(app).fingerprint()));
+    return 0;
+}
+
+int
 usage()
 {
     std::fprintf(stderr,
-                 "usage: capture_goldens standard|ehs|keys "
+                 "usage: capture_goldens standard|ehs|keys|workloads "
                  "[--tag-layout KIND]\n"
                  "  standard  golden_results.txt rows "
                  "(baseline/ACC/ACC+Kagura)\n"
@@ -147,6 +160,8 @@ usage()
                  "(NVSRAM/NvMR/SweepCache under ACC+Kagura)\n"
                  "  keys      canonical_keys.txt rows (one canonical-"
                  "key hash per axis value)\n"
+                 "  workloads workload_fingerprints.txt rows (one op-"
+                 "stream + image hash per suite app)\n"
                  "  --tag-layout KIND  baseline | superblock | "
                  "signature (both caches; default baseline)\n");
     return 2;
@@ -179,5 +194,7 @@ main(int argc, char **argv)
         return captureEhs();
     if (std::strcmp(mode, "keys") == 0)
         return captureKeys();
+    if (std::strcmp(mode, "workloads") == 0)
+        return captureWorkloads();
     return usage();
 }
