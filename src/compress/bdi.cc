@@ -1,6 +1,8 @@
 #include "compress/bdi.hh"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
 
 #include "compress/bitstream.hh"
@@ -56,6 +58,75 @@ storeLittle(std::uint8_t *dst, std::uint64_t v, unsigned bytes)
 {
     for (unsigned i = 0; i < bytes; ++i)
         dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/** Load one little-endian @p W-byte value. */
+template <unsigned W>
+std::uint64_t
+loadWord(const std::uint8_t *src)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        std::uint64_t v = 0;
+        std::memcpy(&v, src, W);
+        return v;
+    } else {
+        return loadLittle(src, W);
+    }
+}
+
+/** The run of variantSpecs entries sharing one base width. */
+struct WidthGroup
+{
+    unsigned baseBytes;
+    unsigned first; ///< index of the run's first variant
+    unsigned count; ///< number of delta widths in the run
+};
+
+constexpr unsigned maxDeltas = 3;
+
+constexpr std::array<WidthGroup, 3> widthGroups = {{
+    {8, 0, 3}, // B8D1, B8D2, B8D4
+    {4, 3, 2}, // B4D1, B4D2
+    {2, 5, 1}, // B2D1
+}};
+
+/**
+ * One sweep over the @p W-byte values of @p block that decides, for
+ * every variant of @p group still marked in @p live, whether it fits
+ * (the same test tryVariant applies); @p live is cleared for each
+ * variant that does not. Stops as soon as no variant is live.
+ */
+template <unsigned W>
+void
+sweepWidth(ConstByteSpan block, const WidthGroup &group,
+           std::array<bool, maxDeltas> &live)
+{
+    std::array<bool, maxDeltas> have_base{};
+    std::array<std::uint64_t, maxDeltas> base{};
+    unsigned live_count = 0;
+    for (unsigned k = 0; k < group.count; ++k)
+        live_count += live[k];
+
+    const std::size_t n = block.size() / W;
+    for (std::size_t i = 0; i < n && live_count > 0; ++i) {
+        const std::uint64_t value = loadWord<W>(block.data() + i * W);
+        const std::int64_t as_signed = signExtend(value, 8 * W);
+        for (unsigned k = 0; k < group.count; ++k) {
+            const unsigned delta_bits =
+                8 * variantSpecs[group.first + k].deltaBytes;
+            if (!live[k] || fitsSigned(as_signed, delta_bits))
+                continue; // fits its delta to the implicit zero base
+            if (!have_base[k]) {
+                // The first such value becomes the explicit base.
+                have_base[k] = true;
+                base[k] = value;
+            } else if (!fitsSigned(signExtend(value - base[k], 8 * W),
+                                   delta_bits)) {
+                live[k] = false;
+                --live_count;
+            }
+        }
+    }
 }
 
 /**
@@ -195,9 +266,69 @@ BdiCompressor::compress(ConstByteSpan block, PayloadBuffer &out) const
 std::uint64_t
 BdiCompressor::sizeBits(ConstByteSpan block) const
 {
-    BitCounter sink;
-    bdiEncode(block, sink);
-    return sink.bits();
+    // Closed form of bdiEncode's BitCounter walk. Every variant's size
+    // is fixed by (base width, delta width, value count), so only
+    // whether each variant fits has to be computed: one sweep over the
+    // values per base width decides all of that width's delta widths
+    // at once (as the BDI hardware runs every base+delta unit in
+    // parallel), and the smallest fitting variant wins, the earliest
+    // on a tie, exactly as bdiEncode picks.
+    const std::size_t size = block.size();
+    if (size % 8 == 0) {
+        std::uint64_t first = 0;
+        bool zero = true;
+        bool repeated = true;
+        for (std::size_t i = 0; i < size; i += 8) {
+            const std::uint64_t word = loadWord<8>(block.data() + i);
+            if (i == 0)
+                first = word;
+            zero = zero && word == 0;
+            repeated = repeated && word == first;
+        }
+        if (zero)
+            return headerBits;
+        if (repeated && size >= 16)
+            return headerBits + 64;
+    } else if (std::all_of(block.begin(), block.end(),
+                           [](std::uint8_t b) { return b == 0; })) {
+        return headerBits;
+    }
+
+    // Raw is only the fallback: a fitting variant wins even when it is
+    // larger, as it can be for blocks shorter than 16 bytes.
+    constexpr std::uint64_t none = ~std::uint64_t{0};
+    std::uint64_t best = none;
+    for (const WidthGroup &group : widthGroups) {
+        const std::size_t n = size / group.baseBytes;
+        if (n == 0 || n * group.baseBytes != size)
+            continue;
+        // Only variants that would beat the best so far are decided;
+        // a later variant never wins a tie.
+        std::array<std::uint64_t, maxDeltas> bits{};
+        std::array<bool, maxDeltas> live{};
+        for (unsigned k = 0; k < group.count; ++k) {
+            const VariantSpec &spec = variantSpecs[group.first + k];
+            bits[k] = headerBits + 8 * spec.baseBytes +
+                      n * (1 + 8 * spec.deltaBytes);
+            live[k] = bits[k] < best;
+        }
+        switch (group.baseBytes) {
+          case 8:
+            sweepWidth<8>(block, group, live);
+            break;
+          case 4:
+            sweepWidth<4>(block, group, live);
+            break;
+          default:
+            sweepWidth<2>(block, group, live);
+            break;
+        }
+        for (unsigned k = 0; k < group.count; ++k) {
+            if (live[k] && bits[k] < best)
+                best = bits[k];
+        }
+    }
+    return best != none ? best : headerBits + 8 * size;
 }
 
 void

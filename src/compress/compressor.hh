@@ -131,8 +131,10 @@ class Compressor
                                    PayloadBuffer &out) const = 0;
 
     /**
-     * Exact compressed size in bits without materializing a payload
-     * (the encoder runs against a counting sink). Never allocates.
+     * Exact compressed size in bits without materializing a payload:
+     * always compress()'s bit count (most algorithms run their encoder
+     * against a counting sink; BDI computes it in closed form). Never
+     * allocates.
      */
     virtual std::uint64_t sizeBits(ConstByteSpan block) const = 0;
 

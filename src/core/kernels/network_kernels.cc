@@ -300,10 +300,22 @@ fft()
                         rec.load(twiddle + 4 * (j * step), 4));
                     const auto c = static_cast<std::int16_t>(tw & 0xffff);
                     const auto s = static_cast<std::int16_t>(tw >> 16);
+                    // The products overflow int (16384 x 133199), so
+                    // the multiply-add wraps in uint32_t (what the
+                    // fixed-point hardware does) before the shift.
+                    const auto mul = [](std::int32_t x, std::int16_t y) {
+                        return static_cast<std::uint32_t>(x) *
+                               static_cast<std::uint32_t>(
+                                   static_cast<std::int32_t>(y));
+                    };
                     const std::int32_t tr =
-                        (br * c - bi * s) >> 14;
+                        static_cast<std::int32_t>(mul(br, c) -
+                                                  mul(bi, s)) >>
+                        14;
                     const std::int32_t ti =
-                        (br * s + bi * c) >> 14;
+                        static_cast<std::int32_t>(mul(br, s) +
+                                                  mul(bi, c)) >>
+                        14;
                     rec.alu(12); // complex multiply + butterflies
                     rec.store(real + 4 * a,
                               static_cast<std::uint32_t>(ar + tr), 4);

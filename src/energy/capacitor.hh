@@ -14,6 +14,10 @@
 #ifndef KAGURA_ENERGY_CAPACITOR_HH
 #define KAGURA_ENERGY_CAPACITOR_HH
 
+#include <algorithm>
+#include <cmath>
+
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace kagura
@@ -55,14 +59,22 @@ struct CapacitorConfig
     double leakagePerFarad = 4e-3;
 };
 
-/** The capacitor itself: an energy integrator with voltage views. */
+/**
+ * The capacitor itself: an energy integrator with voltage views.
+ * voltage(), discharge() and leakagePower() are defined here so the
+ * energy meter's per-op spend() inlines them.
+ */
 class Capacitor
 {
   public:
     explicit Capacitor(const CapacitorConfig &config);
 
     /** Current voltage, sqrt(2 E / C). */
-    double voltage() const;
+    double
+    voltage() const
+    {
+        return std::sqrt(2.0 * energyJ / cfg.capacitance);
+    }
 
     /** Stored energy in joules. */
     double storedJoules() const { return energyJ; }
@@ -75,10 +87,24 @@ class Capacitor
      * rather than going negative (brown-out is detected by threshold
      * comparisons, not by negative energy).
      */
-    void discharge(double joules);
+    void
+    discharge(double joules)
+    {
+        kagura_assert(joules >= 0.0);
+        energyJ = std::max(energyJ - joules, 0.0);
+    }
 
-    /** Leakage power at the current charge level. */
-    Watts leakagePower() const;
+    /**
+     * Leakage power at the current charge level. Leakage scales with
+     * both capacitance and charge level; a simple I = k C V model
+     * captures the Table III capacity trend.
+     */
+    Watts
+    leakagePower() const
+    {
+        return cfg.leakagePerFarad * cfg.capacitance * voltage() /
+               cfg.vMax;
+    }
 
     /** True while voltage is at or above the restore threshold. */
     bool aboveRestore() const { return voltage() >= cfg.vRestore; }

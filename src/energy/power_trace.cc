@@ -1,8 +1,12 @@
 #include "energy/power_trace.hh"
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <mutex>
+#include <tuple>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -170,6 +174,27 @@ makeTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
             "Constant", std::vector<Watts>(intervals, 40e-6 * scale));
     }
     panic("unknown TraceKind %d", static_cast<int>(kind));
+}
+
+std::shared_ptr<const PowerTrace>
+cachedTrace(TraceKind kind, std::uint64_t intervals, std::uint64_t seed,
+            double scale)
+{
+    // Process-wide memo shared by concurrent runner workers, like
+    // cachedWorkload(): the mutex serialises lookup/insert, and each
+    // trace is immutable once built. The scale is keyed by its bits.
+    using Key = std::tuple<TraceKind, std::uint64_t, std::uint64_t,
+                           std::uint64_t>;
+    static std::mutex mutex;
+    static std::map<Key, std::shared_ptr<const PowerTrace>> memo;
+    const Key key{kind, intervals, seed,
+                  std::bit_cast<std::uint64_t>(scale)};
+    std::lock_guard<std::mutex> lock(mutex);
+    auto it = memo.find(key);
+    if (it == memo.end())
+        it = memo.emplace(key, makeTrace(kind, intervals, seed, scale))
+                 .first;
+    return it->second;
 }
 
 std::unique_ptr<PowerTrace>

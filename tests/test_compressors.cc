@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cstring>
+#include <string>
 
 #include "common/rng.hh"
 #include "compress/compressor.hh"
@@ -169,6 +170,123 @@ TEST(Bdi, RandomDataStaysRaw)
     auto comp = makeCompressor(CompressorKind::Bdi);
     const auto block = patternBlock("random", 32, 2);
     EXPECT_EQ(comp->compressedBytes(block), 32u);
+}
+
+// --- BDI closed-form size probe ------------------------------------------
+//
+// BdiCompressor::sizeBits() decides which base+delta variants fit
+// without running the encoder; compress() still runs it, and its bit
+// count is the encoder walk's. The two must agree on every block, and
+// the payload must round-trip at that size.
+
+void
+expectBdiSizeMatchesEncoder(const Compressor &bdi,
+                            const std::vector<std::uint8_t> &block,
+                            const std::string &what)
+{
+    PayloadBuffer payload;
+    const std::uint64_t encoded = bdi.compress(block, payload);
+    EXPECT_EQ(bdi.sizeBits(block), encoded) << what;
+    std::vector<std::uint8_t> back(block.size(), 0xcc);
+    bdi.decompress(payload.span(), MutByteSpan{back});
+    EXPECT_EQ(back, block) << what;
+}
+
+void
+storeLe(std::vector<std::uint8_t> &block, std::size_t at, std::uint64_t v,
+        unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; ++i)
+        block[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+TEST(Bdi, ClosedFormSizeMatchesTheEncoderOnRandomBlocks)
+{
+    auto bdi = makeCompressor(CompressorKind::Bdi);
+    Rng rng(0xbd1);
+    for (std::size_t size : {8u, 12u, 16u, 20u, 24u, 32u, 40u, 64u}) {
+        for (unsigned trial = 0; trial < 400; ++trial) {
+            std::vector<std::uint8_t> block(size);
+            // Mix fully random bytes with narrow random values around
+            // a random base, so every variant fits some of the time.
+            const unsigned width = 2u << rng.below(3); // 2, 4 or 8
+            const std::uint64_t base = rng.next();
+            const unsigned spread_bits = 1 + rng.below(40);
+            for (std::size_t at = 0; at + width <= size; at += width) {
+                const std::uint64_t delta =
+                    rng.next() & ((1ULL << spread_bits) - 1);
+                std::uint64_t v = rng.chance(0.3) ? delta : base + delta;
+                if (rng.chance(0.1))
+                    v = rng.next();
+                storeLe(block, at, v, width);
+            }
+            if (trial % 7 == 0)
+                for (auto &b : block)
+                    b = static_cast<std::uint8_t>(rng.next());
+            expectBdiSizeMatchesEncoder(
+                *bdi, block,
+                "size " + std::to_string(size) + " trial " +
+                    std::to_string(trial));
+        }
+    }
+}
+
+TEST(Bdi, ClosedFormSizeMatchesTheEncoderOnStructuredBlocks)
+{
+    auto bdi = makeCompressor(CompressorKind::Bdi);
+    for (std::size_t size : {16u, 32u, 64u}) {
+        const std::string at_size = " size " + std::to_string(size);
+        expectBdiSizeMatchesEncoder(
+            *bdi, std::vector<std::uint8_t>(size, 0), "zeros" + at_size);
+        std::vector<std::uint8_t> repeated(size);
+        for (std::size_t at = 0; at < size; at += 8)
+            storeLe(repeated, at, 0x0123456789abcdefULL, 8);
+        expectBdiSizeMatchesEncoder(*bdi, repeated,
+                                    "repeated" + at_size);
+
+        // Every (base, delta) variant at its delta limits: deltas of
+        // +-2^(8d-1) and one past them, both against the implicit zero
+        // base and against an explicit base.
+        for (unsigned width : {8u, 4u, 2u}) {
+            for (unsigned delta : {1u, 2u, 4u}) {
+                if (delta >= width)
+                    continue;
+                const std::int64_t lim = std::int64_t{1}
+                                         << (8 * delta - 1);
+                const std::int64_t edges[] = {lim - 1, lim, -lim,
+                                              -lim - 1};
+                const std::uint64_t base =
+                    0x5a5a5a5a5a5a5a5aULL >> (64 - 8 * width);
+                for (std::int64_t edge : edges) {
+                    for (bool explicit_base : {false, true}) {
+                        std::vector<std::uint8_t> block(size);
+                        for (std::size_t at = 0, i = 0; at < size;
+                             at += width, ++i) {
+                            const std::uint64_t origin =
+                                explicit_base ? base : 0;
+                            // Value 0 is the origin itself (the
+                            // explicit base when there is one).
+                            const std::int64_t d =
+                                i == 0 ? 0
+                                : i % 3 == 0
+                                    ? edge
+                                    : static_cast<std::int64_t>(i);
+                            storeLe(block, at,
+                                    origin + static_cast<std::uint64_t>(d),
+                                    width);
+                        }
+                        expectBdiSizeMatchesEncoder(
+                            *bdi, block,
+                            "B" + std::to_string(width) + "D" +
+                                std::to_string(delta) + " edge " +
+                                std::to_string(edge) +
+                                (explicit_base ? " based" : " zero") +
+                                at_size);
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(Fpc, ZeroRunsCollapse)

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
+#include "common/rng.hh"
 #include "ehs/ehs.hh"
 #include "ehs/nvmr.hh"
 #include "ehs/nvsram.hh"
@@ -458,6 +461,64 @@ TEST(Nvm, AddressesWrapModuloCapacity)
     std::uint8_t out;
     nvm.readBytes(8, &out, 1);
     EXPECT_EQ(out, 0x5a);
+}
+
+// The array is stored as 4 KB pages allocated on first write; it must
+// behave exactly like one flat byte vector indexed modulo capacity.
+TEST(Nvm, MatchesAFlatByteVectorOnRandomSpans)
+{
+    // A capacity that is not a page multiple (partial last page), one
+    // that is, and one smaller than a page (spans wrap more than once).
+    for (std::uint64_t capacity : {3 * 4096u + 100u, 4 * 4096u, 100u}) {
+        Nvm nvm(NvmType::ReRam, capacity);
+        std::vector<std::uint8_t> flat(capacity, 0);
+        Rng rng(capacity);
+        std::vector<std::uint8_t> buf;
+        for (unsigned step = 0; step < 3000; ++step) {
+            // Unaligned addresses anywhere in two wraps of the array;
+            // spans up to 2.5 pages, so many cross a page boundary and
+            // some cross the end of the array.
+            Addr addr = rng.below(2 * capacity);
+            if (step % 5 == 0) // land near the end: wrap on purpose
+                addr = capacity - 1 - rng.below(std::min<std::uint64_t>(
+                                           capacity, 64));
+            const std::size_t count = 1 + rng.below(10240);
+            buf.resize(count);
+            if (rng.chance(0.5)) {
+                for (auto &b : buf)
+                    b = static_cast<std::uint8_t>(rng.next());
+                nvm.writeBytes(addr, buf.data(), count);
+                for (std::size_t i = 0; i < count; ++i)
+                    flat[(addr + i) % capacity] = buf[i];
+            } else {
+                nvm.readBytes(addr, buf.data(), count);
+                for (std::size_t i = 0; i < count; ++i)
+                    ASSERT_EQ(buf[i], flat[(addr + i) % capacity])
+                        << "capacity " << capacity << " addr " << addr
+                        << " byte " << i;
+            }
+        }
+        std::vector<std::uint8_t> all(capacity);
+        nvm.readBytes(0, all.data(), capacity);
+        EXPECT_EQ(all, flat) << "capacity " << capacity;
+    }
+}
+
+TEST(Nvm, NeverWrittenBytesReadZero)
+{
+    Nvm nvm(NvmType::ReRam, 16ULL << 20);
+    const std::uint8_t one = 0xff;
+    nvm.writeBytes(5 * 4096 + 7, &one, 1);
+    // Untouched pages, and the untouched rest of a written page.
+    for (Addr addr : {Addr{0}, Addr{5 * 4096 - 64}, Addr{5 * 4096 + 8},
+                      Addr{(16ULL << 20) - 64}}) {
+        std::vector<std::uint8_t> out(64, 0xaa);
+        nvm.readBytes(addr, out.data(), out.size());
+        EXPECT_EQ(out, std::vector<std::uint8_t>(64, 0)) << addr;
+    }
+    std::uint8_t back = 0;
+    nvm.readBytes(5 * 4096 + 7, &back, 1);
+    EXPECT_EQ(back, 0xff);
 }
 
 TEST(Nvm, BlockReadCopies)

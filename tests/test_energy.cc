@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "energy/capacitor.hh"
 #include "energy/energy_model.hh"
 #include "energy/ledger.hh"
@@ -145,6 +150,46 @@ TEST(PowerTrace, ScaleMultipliesSamples)
     auto doubled = makeTrace(TraceKind::Thermal, 1000, 5, 2.0);
     for (std::uint64_t i = 0; i < 1000; ++i)
         ASSERT_NEAR(doubled->power(i), 2.0 * base->power(i), 1e-15);
+}
+
+TEST(PowerTrace, CachedTraceEqualsMakeTraceForEveryKind)
+{
+    for (TraceKind kind : {TraceKind::RfHome, TraceKind::Solar,
+                           TraceKind::Thermal, TraceKind::Constant}) {
+        const auto made = makeTrace(kind, 20000, 41, 1.5);
+        const auto cached = cachedTrace(kind, 20000, 41, 1.5);
+        ASSERT_EQ(cached->length(), made->length());
+        EXPECT_EQ(cached->name(), made->name());
+        for (std::uint64_t i = 0; i < made->length(); ++i)
+            ASSERT_EQ(cached->power(i), made->power(i))
+                << traceKindName(kind) << " sample " << i;
+    }
+}
+
+TEST(PowerTrace, CachedTraceIsOneObjectPerKey)
+{
+    const auto a = cachedTrace(TraceKind::RfHome, 5000, 11, 1.0);
+    EXPECT_EQ(cachedTrace(TraceKind::RfHome, 5000, 11, 1.0), a);
+    EXPECT_NE(cachedTrace(TraceKind::RfHome, 5000, 12, 1.0), a);
+    EXPECT_NE(cachedTrace(TraceKind::RfHome, 5000, 11, 2.0), a);
+    EXPECT_NE(cachedTrace(TraceKind::RfHome, 5001, 11, 1.0), a);
+    EXPECT_NE(cachedTrace(TraceKind::Solar, 5000, 11, 1.0), a);
+}
+
+TEST(PowerTrace, CachedTraceIsOneObjectAcrossThreads)
+{
+    std::array<std::shared_ptr<const PowerTrace>, 4> seen;
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < seen.size(); ++t)
+        threads.emplace_back([&seen, t] {
+            seen[t] = cachedTrace(TraceKind::Thermal, 30000, 0x7e57, 1.0);
+        });
+    for (std::thread &thread : threads)
+        thread.join();
+    for (const auto &trace : seen) {
+        ASSERT_NE(trace, nullptr);
+        EXPECT_EQ(trace, seen[0]);
+    }
 }
 
 TEST(PowerTrace, VectorTraceRejectsEmpty)
