@@ -302,11 +302,15 @@ g721Quantise(int sample, int &estimate, int &scale,
     const int mag = diff < 0 ? -diff : diff;
     // Binary search over 6 decision levels (the recorded loads below
     // model the table walk).
+    // mag reaches ~2^31 on the encoder's input, so mag * 12 is taken
+    // in wrapping uint32_t and compared as int (two's complement).
+    const auto mag12 =
+        static_cast<int>(static_cast<std::uint32_t>(mag) * 12u);
     unsigned code = 0;
     for (unsigned step = 32; step > 0; step >>= 1) {
         const int level = static_cast<int>(
             rec.peek(lay.quantTable + 4 * ((code | step) - 1), 4));
-        if (mag * 12 >= level * scale / 16)
+        if (mag12 >= level * scale / 16)
             code |= step;
     }
     if (code > 63)
