@@ -17,6 +17,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "format_sample.hh"
 #include "runner/cache_store.hh"
 #include "runner/config_hash.hh"
 #include "runner/env.hh"
@@ -163,6 +164,20 @@ TEST_F(RunnerTests, CodecRoundTripsEveryFieldExactly)
     EXPECT_TRUE(back.oracle == r.oracle);
     EXPECT_TRUE(back.oracle.worthCompressing(0x1000, false));
     EXPECT_FALSE(back.oracle.worthCompressing(0x2040, true));
+}
+
+TEST_F(RunnerTests, CodecRoundTripsTheFormatSample)
+{
+    // Every counter distinct and every optional section present, so a
+    // decoder that fills the wrong member shows in the JSON.
+    const SimResult r = formatSampleResult();
+    SimResult back;
+    ASSERT_TRUE(runner::decodeResult(runner::encodeResult(r), back));
+    EXPECT_EQ(runner::encodeResult(back), runner::encodeResult(r));
+    EXPECT_EQ(toJson(back, true), toJson(r, true));
+    EXPECT_EQ(back.l2cacheTags.sbFillDegree[3],
+              r.l2cacheTags.sbFillDegree[3]);
+    EXPECT_EQ(back.replOptHits, r.replOptHits);
 }
 
 TEST_F(RunnerTests, CodecRoundTripsARealRun)
