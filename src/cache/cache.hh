@@ -39,6 +39,7 @@
 #include "common/types.hh"
 #include "compress/compressor.hh"
 #include "hier/mem_level.hh"
+#include "metrics/counter_fields.hh"
 #include "metrics/fwd.hh"
 #include "repl/policy.hh"
 #include "tags/layout.hh"
@@ -140,6 +141,23 @@ struct CacheStats
      */
     void recordMetrics(metrics::MetricSet &set,
                        std::string_view prefix) const;
+};
+
+/** CacheStats' counters, in codec order (metrics/counter_fields.hh). */
+inline constexpr metrics::CounterField<CacheStats> cacheStatsFields[] = {
+    {"accesses", &CacheStats::accesses},
+    {"hits", &CacheStats::hits},
+    {"misses", &CacheStats::misses},
+    {"evictions", &CacheStats::evictions},
+    {"writebacks", &CacheStats::writebacks},
+    {"compressions", &CacheStats::compressions},
+    {"compactions", &CacheStats::compactions},
+    {"decompressions", &CacheStats::decompressions},
+    {"compressed_hits", &CacheStats::compressedHits},
+    {"compression_enabled_hits", &CacheStats::compressionEnabledHits},
+    {"wasted_decompressions", &CacheStats::wastedDecompressions},
+    {"prefetch_fills", &CacheStats::prefetchFills},
+    {"decay_writebacks", &CacheStats::decayWritebacks},
 };
 
 /** The compressed cache (itself one pluggable hierarchy level). */

@@ -26,6 +26,7 @@
 
 #include "cache/governor.hh"
 #include "kagura/adapt_policy.hh"
+#include "metrics/counter_fields.hh"
 #include "metrics/fwd.hh"
 
 namespace kagura
@@ -105,6 +106,15 @@ struct KaguraStats
      */
     void recordMetrics(metrics::MetricSet &set,
                        std::string_view prefix) const;
+};
+
+/** KaguraStats' counters, in codec order (metrics/counter_fields.hh). */
+inline constexpr metrics::CounterField<KaguraStats> kaguraStatsFields[] = {
+    {"mode_switches", &KaguraStats::modeSwitches},
+    {"mem_ops_in_rm", &KaguraStats::memOpsInRm},
+    {"rm_evictions", &KaguraStats::rmEvictions},
+    {"rewards", &KaguraStats::rewards},
+    {"punishments", &KaguraStats::punishments},
 };
 
 /** The Kagura controller; wraps an inner governor (typically ACC). */

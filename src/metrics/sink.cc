@@ -11,10 +11,6 @@ namespace kagura
 namespace metrics
 {
 
-namespace
-{
-
-/** JSON string escaping (quotes, backslash, control characters). */
 std::string
 jsonEscape(std::string_view text)
 {
@@ -48,6 +44,9 @@ jsonEscape(std::string_view text)
     }
     return out;
 }
+
+namespace
+{
 
 /**
  * Round-trip-exact JSON number. Counters are integral doubles and

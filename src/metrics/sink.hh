@@ -24,6 +24,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 
 #include "metrics/registry.hh"
 
@@ -34,6 +35,9 @@ namespace metrics
 
 /** Schema identifier stamped into every exported record. */
 constexpr const char *schemaName = "kagura.metrics/v1";
+
+/** @p text escaped for the inside of a JSON string literal. */
+std::string jsonEscape(std::string_view text);
 
 /** Consumes flattened records; implementations must be thread-safe. */
 class Sink

@@ -29,8 +29,7 @@ TelemetryComponent::recordMetrics(metrics::MetricSet &set)
     if (result.oracleVetoes)
         set.counter("sim/oracle_vetoes").add(result.oracleVetoes);
     if (result.replOptAccesses) {
-        set.counter("sim/repl_opt_accesses").add(result.replOptAccesses);
-        set.counter("sim/repl_opt_hits").add(result.replOptHits);
+        metrics::recordCounters(replOptFields, result, set, "sim");
         set.gauge("sim/repl_opt_hit_rate").set(result.replOptHitRate());
     }
 
@@ -49,21 +48,15 @@ TelemetryComponent::recordMetrics(metrics::MetricSet &set)
     if (metrics::timeseriesEnabled() && metrics::defaultSink()) {
         std::size_t index = 0;
         for (const PowerCycleRecord &rec : result.cycles) {
-            const auto emit = [&](const char *name, double value) {
+            for (const auto &field : powerCycleFields) {
                 metrics::Record record;
                 record.kind = metrics::RecordKind::Gauge;
-                record.name = name;
+                record.name = std::string("sim/cycle/") + field.name;
                 record.labels = set.labels();
                 record.labels["cycle_index"] = std::to_string(index);
-                record.value = value;
+                record.value = static_cast<double>(rec.*field.counter);
                 metrics::emitRecord(std::move(record));
-            };
-            emit("sim/cycle/instructions",
-                 static_cast<double>(rec.instructions));
-            emit("sim/cycle/loads", static_cast<double>(rec.loads));
-            emit("sim/cycle/stores", static_cast<double>(rec.stores));
-            emit("sim/cycle/active_cycles",
-                 static_cast<double>(rec.activeCycles));
+            }
             ++index;
         }
     }

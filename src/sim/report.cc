@@ -1,8 +1,9 @@
 #include "sim/report.hh"
 
-#include <cinttypes>
-#include <cstdarg>
+#include <string>
 
+#include "common/logging.hh"
+#include "metrics/sink.hh"
 #include "runner/result_codec.hh"
 
 namespace kagura
@@ -11,41 +12,22 @@ namespace kagura
 namespace
 {
 
+/** Append "name":value for every (non-histogram) counter of @p s. */
+template <typename S, std::size_t N>
 void
-appendf(std::string &out, const char *fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-
-void
-appendf(std::string &out, const char *fmt, ...)
+appendCounters(std::string &out,
+               const metrics::CounterField<S> (&fields)[N], const S &s)
 {
-    va_list args;
-    va_start(args, fmt);
-    char buf[1024];
-    std::vsnprintf(buf, sizeof(buf), fmt, args);
-    va_end(args);
-    out += buf;
-}
-
-void
-appendCacheStats(std::string &out, const char *name,
-                 const CacheStats &stats)
-{
-    appendf(out,
-            "\"%s\":{\"accesses\":%" PRIu64 ",\"hits\":%" PRIu64
-            ",\"misses\":%" PRIu64 ",\"evictions\":%" PRIu64
-            ",\"writebacks\":%" PRIu64 ",\"compressions\":%" PRIu64
-            ",\"compactions\":%" PRIu64 ",\"decompressions\":%" PRIu64
-            ",\"compressed_hits\":%" PRIu64
-            ",\"compression_enabled_hits\":%" PRIu64
-            ",\"wasted_decompressions\":%" PRIu64
-            ",\"prefetch_fills\":%" PRIu64
-            ",\"decay_writebacks\":%" PRIu64 ",\"miss_rate\":%.6f}",
-            name, stats.accesses, stats.hits, stats.misses,
-            stats.evictions, stats.writebacks, stats.compressions,
-            stats.compactions, stats.decompressions,
-            stats.compressedHits, stats.compressionEnabledHits,
-            stats.wastedDecompressions, stats.prefetchFills,
-            stats.decayWritebacks, stats.missRate());
+    const char *sep = "";
+    for (const metrics::CounterField<S> &field : fields) {
+        kagura_assert(field.counter);
+        out += sep;
+        out += '"';
+        out += field.name;
+        out += "\":";
+        out += std::to_string(s.*field.counter);
+        sep = ",";
+    }
 }
 
 } // namespace
@@ -55,50 +37,35 @@ toJson(const SimResult &r, bool include_cycles)
 {
     std::string out;
     out.reserve(2048);
-    out += "{";
-    appendf(out, "\"workload\":\"%s\",", r.workload.c_str());
-    appendf(out, "\"wall_cycles\":%" PRIu64 ",", r.wallCycles);
-    appendf(out, "\"active_cycles\":%" PRIu64 ",", r.activeCycles);
-    appendf(out, "\"committed_instructions\":%" PRIu64 ",",
-            r.committedInstructions);
-    appendf(out, "\"loads\":%" PRIu64 ",", r.loads);
-    appendf(out, "\"stores\":%" PRIu64 ",", r.stores);
-    appendf(out, "\"power_failures\":%" PRIu64 ",", r.powerFailures);
-    appendf(out, "\"instructions_per_cycle\":%.3f,",
-            r.instructionsPerCycle());
+    out += "{\"workload\":\"" + metrics::jsonEscape(r.workload) + "\",";
+    appendCounters(out, simResultHeaderFields, r);
+    out += detail::vformat(",\"instructions_per_cycle\":%.3f,",
+                           r.instructionsPerCycle());
 
     out += "\"energy_pj\":{";
     for (std::size_t c = 0; c < EnergyLedger::numCategories; ++c) {
         const auto cat = static_cast<EnergyCategory>(c);
-        appendf(out, "\"%s\":%.3f,", energyCategoryName(cat),
-                r.ledger.total(cat));
+        out += detail::vformat("\"%s\":%.3f,", energyCategoryName(cat),
+                               r.ledger.total(cat));
     }
-    appendf(out, "\"total\":%.3f},", r.ledger.grandTotal());
+    out += detail::vformat("\"total\":%.3f},", r.ledger.grandTotal());
 
-    appendCacheStats(out, "icache", r.icache);
-    out += ",";
-    appendCacheStats(out, "dcache", r.dcache);
-    out += ",";
-
-    appendf(out,
-            "\"kagura\":{\"mode_switches\":%" PRIu64
-            ",\"mem_ops_in_rm\":%" PRIu64 ",\"rm_evictions\":%" PRIu64
-            ",\"rewards\":%" PRIu64 ",\"punishments\":%" PRIu64 "},",
-            r.kagura.modeSwitches, r.kagura.memOpsInRm,
-            r.kagura.rmEvictions, r.kagura.rewards,
-            r.kagura.punishments);
-    appendf(out, "\"oracle_vetoes\":%" PRIu64, r.oracleVetoes);
+    for (const auto &[name, stats] :
+         {std::pair{"icache", &r.icache}, std::pair{"dcache", &r.dcache}}) {
+        out += detail::vformat("\"%s\":{", name);
+        appendCounters(out, cacheStatsFields, *stats);
+        out += detail::vformat(",\"miss_rate\":%.6f},", stats->missRate());
+    }
+    out += "\"kagura\":{";
+    appendCounters(out, kaguraStatsFields, r.kagura);
+    out += "},\"oracle_vetoes\":" + std::to_string(r.oracleVetoes);
 
     if (include_cycles) {
         out += ",\"cycles\":[";
         for (std::size_t i = 0; i < r.cycles.size(); ++i) {
-            const PowerCycleRecord &rec = r.cycles[i];
-            appendf(out,
-                    "%s{\"instructions\":%" PRIu64 ",\"loads\":%" PRIu64
-                    ",\"stores\":%" PRIu64 ",\"active_cycles\":%" PRIu64
-                    "}",
-                    i ? "," : "", rec.instructions, rec.loads,
-                    rec.stores, rec.activeCycles);
+            out += i ? ",{" : "{";
+            appendCounters(out, powerCycleFields, r.cycles[i]);
+            out += "}";
         }
         out += "]";
     }

@@ -18,17 +18,12 @@ namespace kagura
 /**
  * Write @p result as a single JSON object to @p out.
  *
- * Layout:
- * {
- *   "workload": "...", "wall_cycles": N, "active_cycles": N,
- *   "committed_instructions": N, "loads": N, "stores": N,
- *   "power_failures": N,
- *   "energy_pj": {"Compress": X, ..., "total": X},
- *   "icache": {"accesses": N, "misses": N, ...},
- *   "dcache": {...},
- *   "kagura": {"mode_switches": N, ...},
- *   "cycles": [{"instructions": N, "loads": N, ...}, ...]
- * }
+ * Layout, keys in field-list order (<list> stands for its counters):
+ * {"workload": "...", <simResultHeaderFields>,
+ *  "instructions_per_cycle": X, "energy_pj": {"Compress": X, ...,
+ *  "total": X}, "icache": {<cacheStatsFields>, "miss_rate": X},
+ *  "dcache": {...}, "kagura": {<kaguraStatsFields>},
+ *  "oracle_vetoes": N, "cycles": [{<powerCycleFields>}, ...]}
  *
  * @param include_cycles Emit the per-power-cycle array (can be large).
  */

@@ -17,6 +17,7 @@
 #include "energy/ledger.hh"
 #include "kagura/kagura.hh"
 #include "kagura/oracle.hh"
+#include "metrics/counter_fields.hh"
 
 namespace kagura
 {
@@ -37,6 +38,15 @@ struct PowerCycleRecord
                                   static_cast<double>(instructions)
                             : 0.0;
     }
+};
+
+/** PowerCycleRecord's counters, in codec order (JSON keys). */
+inline constexpr metrics::CounterField<PowerCycleRecord>
+    powerCycleFields[] = {
+        {"instructions", &PowerCycleRecord::instructions},
+        {"loads", &PowerCycleRecord::loads},
+        {"stores", &PowerCycleRecord::stores},
+        {"active_cycles", &PowerCycleRecord::activeCycles},
 };
 
 /** Everything one run produced. */
@@ -78,19 +88,12 @@ struct SimResult
 
     /**
      * Tag-layout telemetry (src/tags). All-zero for the baseline
-     * layout, whose counters live in CacheStats already; the runner
-     * codec only encodes these when any counter is nonzero, keeping
-     * pre-subsystem encodings byte-identical.
+     * layout, whose counters live in CacheStats already.
      */
     tags::TagLayoutStats icacheTags;
     tags::TagLayoutStats dcacheTags;
 
-    /**
-     * Shared-L2 telemetry (SimConfig::enableL2 only). All-zero for
-     * single-level configs; the runner codec encodes them in their own
-     * trailing section only when some counter is nonzero, keeping
-     * pre-hierarchy encodings byte-identical.
-     */
+    /** Shared-L2 telemetry (SimConfig::enableL2 only; else all-zero). */
     CacheStats l2cache;
     tags::TagLayoutStats l2cacheTags;
 
@@ -129,6 +132,26 @@ struct SimResult
     {
         return icache.compressions + dcache.compressions;
     }
+};
+
+/**
+ * SimResult's header scalars, in codec order (JSON keys). Their
+ * headline metrics keep older names and kinds (sim/instructions, a
+ * sim/wall_cycles gauge), so TelemetryComponent exports them by hand.
+ */
+inline constexpr metrics::CounterField<SimResult> simResultHeaderFields[] = {
+    {"wall_cycles", &SimResult::wallCycles},
+    {"active_cycles", &SimResult::activeCycles},
+    {"committed_instructions", &SimResult::committedInstructions},
+    {"loads", &SimResult::loads},
+    {"stores", &SimResult::stores},
+    {"power_failures", &SimResult::powerFailures},
+};
+
+/** The OPTgen bound's counters (the codec's untagged section). */
+inline constexpr metrics::CounterField<SimResult> replOptFields[] = {
+    {"repl_opt_accesses", &SimResult::replOptAccesses},
+    {"repl_opt_hits", &SimResult::replOptHits},
 };
 
 } // namespace kagura

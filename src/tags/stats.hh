@@ -6,11 +6,9 @@
  * without seeing the layout machinery.
  *
  * Encoding contract: BaselineTags records *nothing* here -- its
- * telemetry is the pre-existing CacheStats -- so every pre-subsystem
- * configuration still produces an all-zero TagLayoutStats and the
- * canonical SimResult byte stream (and therefore the committed golden
- * fingerprints) is unchanged. The runner codec only appends a
- * tag-stats section when any counter is nonzero.
+ * telemetry is the pre-existing CacheStats -- so the runner codec's
+ * tag-stats section, present only when a counter is nonzero, leaves
+ * every pre-subsystem byte stream unchanged.
  */
 
 #ifndef KAGURA_TAGS_STATS_HH
@@ -19,6 +17,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "metrics/counter_fields.hh"
 #include "metrics/fwd.hh"
 
 namespace kagura
@@ -61,35 +60,10 @@ struct TagLayoutStats
     std::uint64_t residentBlockSum = 0;
 
     /** Any counter nonzero? (Gates the optional codec section.) */
-    bool
-    any() const
-    {
-        std::uint64_t sum = tagCompactions + sbAllocations +
-                            sigRechecks + sigFalsePositives +
-                            metadataFlushes + metadataLosses +
-                            occupancySamples + tagsLiveSum +
-                            residentBlockSum;
-        for (std::uint64_t bin : sbFillDegree)
-            sum += bin;
-        return sum != 0;
-    }
+    bool any() const;
 
     /** Accumulate @p other (suite/seed aggregation). */
-    void
-    add(const TagLayoutStats &other)
-    {
-        tagCompactions += other.tagCompactions;
-        sbAllocations += other.sbAllocations;
-        for (unsigned i = 0; i < blocksPerSuperblock; ++i)
-            sbFillDegree[i] += other.sbFillDegree[i];
-        sigRechecks += other.sigRechecks;
-        sigFalsePositives += other.sigFalsePositives;
-        metadataFlushes += other.metadataFlushes;
-        metadataLosses += other.metadataLosses;
-        occupancySamples += other.occupancySamples;
-        tagsLiveSum += other.tagsLiveSum;
-        residentBlockSum += other.residentBlockSum;
-    }
+    void add(const TagLayoutStats &other);
 
     /** Mean resident blocks per set at fill time (0 when idle). */
     double
@@ -118,6 +92,43 @@ struct TagLayoutStats
     void recordMetrics(metrics::MetricSet &set,
                        std::string_view prefix) const;
 };
+
+static_assert(blocksPerSuperblock == metrics::histogramBins);
+
+/** TagLayoutStats' counters, in codec order (metrics/counter_fields.hh). */
+inline constexpr metrics::CounterField<TagLayoutStats>
+    tagLayoutStatsFields[] = {
+        {"compactions", &TagLayoutStats::tagCompactions},
+        {"sb_allocations", &TagLayoutStats::sbAllocations},
+        {.name = "sb_fill_degree", .bins = &TagLayoutStats::sbFillDegree},
+        {"sig_rechecks", &TagLayoutStats::sigRechecks},
+        {"sig_false_positives", &TagLayoutStats::sigFalsePositives},
+        {"metadata_flushes", &TagLayoutStats::metadataFlushes},
+        {"metadata_losses", &TagLayoutStats::metadataLosses},
+        {"occupancy_samples", &TagLayoutStats::occupancySamples},
+        {"tags_live_sum", &TagLayoutStats::tagsLiveSum},
+        {"resident_block_sum", &TagLayoutStats::residentBlockSum},
+};
+
+inline bool
+TagLayoutStats::any() const
+{
+    bool any = false;
+    metrics::forEachWord(tagLayoutStatsFields, *this,
+                         [&any](std::uint64_t word) { any |= word != 0; });
+    return any;
+}
+
+inline void
+TagLayoutStats::add(const TagLayoutStats &other)
+{
+    for (const auto &field : tagLayoutStatsFields) {
+        const auto sum = field.words(*this);
+        const auto more = field.words(other);
+        for (std::size_t i = 0; i < sum.size(); ++i)
+            sum[i] += more[i];
+    }
+}
 
 } // namespace tags
 } // namespace kagura

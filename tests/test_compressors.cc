@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "compress/compressor.hh"
 
@@ -277,11 +278,11 @@ TEST(Bdi, ClosedFormSizeMatchesTheEncoderOnStructuredBlocks)
                         }
                         expectBdiSizeMatchesEncoder(
                             *bdi, block,
-                            "B" + std::to_string(width) + "D" +
-                                std::to_string(delta) + " edge " +
-                                std::to_string(edge) +
-                                (explicit_base ? " based" : " zero") +
-                                at_size);
+                            detail::vformat(
+                                "B%uD%u edge %lld%s%s", width, delta,
+                                static_cast<long long>(edge),
+                                explicit_base ? " based" : " zero",
+                                at_size.c_str()));
                     }
                 }
             }

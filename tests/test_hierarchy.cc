@@ -709,6 +709,14 @@ TEST(L2StatsCodec, MalformedSectionsAreRejected)
     crafted.append(2 * 13 * 8, '\0');     // all-zero counters
     EXPECT_FALSE(runner::decodeResult(crafted, out));
 
+    // A tagged section never carries id 0, the untagged OPTgen one.
+    std::string tagged_optgen = runner::encodeResult(zero);
+    tagged_optgen.append(8, '\0');       // extension marker
+    tagged_optgen.append(4, '\0');       // section id = 0
+    tagged_optgen.push_back(9);          // replOptAccesses = 9
+    tagged_optgen.append(7 + 8, '\0');   // ..., replOptHits = 0
+    EXPECT_FALSE(runner::decodeResult(tagged_optgen, out));
+
     // Out-of-order sections: the l2 section (id 2) may never precede
     // the tag-stats section (id 1); ids must be strictly ascending.
     SimResult both = resultWithL2Stats();
