@@ -1,4 +1,4 @@
-#include "sweepd/cache_maint.hh"
+#include "runner/cache_maint.hh"
 
 #include <algorithm>
 #include <chrono>
@@ -8,7 +8,7 @@
 
 namespace kagura
 {
-namespace sweepd
+namespace runner
 {
 
 namespace fs = std::filesystem;
@@ -22,52 +22,8 @@ struct EntryInfo
     fs::path path;
     std::uint64_t bytes = 0;
     fs::file_time_type mtime;
-    bool legacy = false;
-    int shard = -1; // 0..255; -1 for legacy flat entries
+    int shard = -1; // 0..255; -1 for root-level (flat-layout) entries
 };
-
-bool
-isHexDigits(std::string_view s)
-{
-    if (s.empty())
-        return false;
-    for (char c : s) {
-        const bool hex = (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f');
-        if (!hex)
-            return false;
-    }
-    return true;
-}
-
-/** "ab" -> 0xab; -1 if not a two-digit shard name. */
-int
-shardIndex(const std::string &name)
-{
-    if (name.size() != 2 || !isHexDigits(name))
-        return -1;
-    int v = 0;
-    for (char c : name)
-        v = v * 16 + (c <= '9' ? c - '0' : c - 'a' + 10);
-    return v;
-}
-
-bool
-isEntryName(const std::string &name)
-{
-    // 16 hex digits + ".kgr"
-    constexpr std::string_view suffix = ".kgr";
-    if (name.size() != 16 + suffix.size())
-        return false;
-    if (std::string_view(name).substr(16) != suffix)
-        return false;
-    return isHexDigits(std::string_view(name).substr(0, 16));
-}
-
-bool
-isTempName(const std::string &name)
-{
-    return std::string_view(name).substr(0, 4) == "tmp-";
-}
 
 /**
  * Walk the store, collecting entries, temp files, and bookkeeping
@@ -83,11 +39,10 @@ scan(const std::string &dir, std::vector<EntryInfo> &entries,
     fs::directory_iterator top(dir, ec);
     if (ec)
         return;
-    const auto note = [&](const fs::directory_entry &ent, int shard,
-                          bool legacy) {
+    const auto note = [&](const fs::directory_entry &ent, int shard) {
         const std::string name = ent.path().filename().string();
         std::error_code fec;
-        if (isTempName(name)) {
+        if (name.starts_with(tempPrefix)) {
             EntryInfo info;
             info.path = ent.path();
             info.bytes = ent.file_size(fec);
@@ -107,7 +62,6 @@ scan(const std::string &dir, std::vector<EntryInfo> &entries,
         info.mtime = ent.last_write_time(fec);
         if (fec)
             return;
-        info.legacy = legacy;
         info.shard = shard;
         entries.push_back(std::move(info));
     };
@@ -115,27 +69,18 @@ scan(const std::string &dir, std::vector<EntryInfo> &entries,
     for (const auto &ent : top) {
         std::error_code fec;
         if (ent.is_directory(fec)) {
-            const std::string name = ent.path().filename().string();
-            if (name == "manifests") {
-                std::error_code mec;
-                for (const auto &m :
-                     fs::directory_iterator(ent.path(), mec)) {
-                    (void)m;
-                    ++report.manifests;
-                }
-                continue;
-            }
-            const int shard = shardIndex(name);
+            const int shard =
+                parseShardName(ent.path().filename().string());
             if (shard < 0)
                 continue;
             ++report.shards;
             std::error_code sec;
             for (const auto &sub :
                  fs::directory_iterator(ent.path(), sec))
-                note(sub, shard, false);
+                note(sub, shard);
             continue;
         }
-        note(ent, -1, true);
+        note(ent, -1);
     }
 }
 
@@ -163,7 +108,7 @@ CacheStatsReport::skew() const
 }
 
 CacheStatsReport
-cacheStats(const runner::CacheStore &store)
+cacheStats(const CacheStore &store)
 {
     CacheStatsReport report;
     std::vector<EntryInfo> entries, temps;
@@ -173,7 +118,7 @@ cacheStats(const runner::CacheStore &store)
     for (const EntryInfo &e : entries) {
         ++report.entries;
         report.totalBytes += e.bytes;
-        if (e.legacy)
+        if (e.shard < 0)
             ++report.legacyEntries;
         else
             ++perShard[e.shard];
@@ -202,7 +147,7 @@ cacheStats(const runner::CacheStore &store)
 }
 
 GcReport
-cacheGc(const runner::CacheStore &store, const GcOptions &options)
+cacheGc(const CacheStore &store, const GcOptions &options)
 {
     GcReport report;
     CacheStatsReport stats;
@@ -270,5 +215,5 @@ cacheGc(const runner::CacheStore &store, const GcOptions &options)
     return report;
 }
 
-} // namespace sweepd
+} // namespace runner
 } // namespace kagura

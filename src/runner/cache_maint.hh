@@ -1,8 +1,9 @@
 /**
  * @file
  * CacheStore maintenance: statistics and garbage collection for the
- * sharded .kagura-cache result store, so shared fleet caches stop
- * growing unboundedly.
+ * sharded .kagura-cache result store (`kagura_sweep cache stats|gc`),
+ * so shared caches stop growing unboundedly. The scan reads the
+ * store's layout through the names cache_store.hh defines.
  *
  * GC policy: entries are ranked oldest-first by mtime; `max_age`
  * drops everything older than the cutoff, then `max_bytes` drops the
@@ -14,8 +15,8 @@
  * writers) older than an hour are swept on every gc pass.
  */
 
-#ifndef KAGURA_SWEEPD_CACHE_MAINT_HH
-#define KAGURA_SWEEPD_CACHE_MAINT_HH
+#ifndef KAGURA_RUNNER_CACHE_MAINT_HH
+#define KAGURA_RUNNER_CACHE_MAINT_HH
 
 #include <cstdint>
 #include <string>
@@ -24,7 +25,7 @@
 
 namespace kagura
 {
-namespace sweepd
+namespace runner
 {
 
 /** What `kagura_sweep cache stats` reports. */
@@ -32,12 +33,14 @@ struct CacheStatsReport
 {
     std::uint64_t entries = 0;
     std::uint64_t totalBytes = 0;
-    /** Entries still at the pre-sharding flat layout. */
+    /**
+     * Entries at the store root, left by the pre-sharding flat
+     * layout: no lookup reads them, so they are debris; gc trims them
+     * like any entry, oldest first.
+     */
     std::uint64_t legacyEntries = 0;
     /** Leftover temp files from interrupted writers. */
     std::uint64_t tempFiles = 0;
-    /** Sweep-manifest files under manifests/. */
-    std::uint64_t manifests = 0;
     /** Shard directories present (<= 256). */
     std::uint32_t shards = 0;
     std::uint64_t minShardEntries = 0;
@@ -51,7 +54,7 @@ struct CacheStatsReport
 };
 
 /** Scan @p store's directory (works on a disabled store too). */
-CacheStatsReport cacheStats(const runner::CacheStore &store);
+CacheStatsReport cacheStats(const CacheStore &store);
 
 /** Knobs for cacheGc(); 0 means "no limit" for either axis. */
 struct GcOptions
@@ -72,10 +75,10 @@ struct GcReport
 };
 
 /** Collect garbage per @p options; safe against concurrent writers. */
-GcReport cacheGc(const runner::CacheStore &store,
+GcReport cacheGc(const CacheStore &store,
                  const GcOptions &options);
 
-} // namespace sweepd
+} // namespace runner
 } // namespace kagura
 
-#endif // KAGURA_SWEEPD_CACHE_MAINT_HH
+#endif // KAGURA_RUNNER_CACHE_MAINT_HH

@@ -19,6 +19,19 @@ namespace
 
 constexpr char entryMagic[4] = {'K', 'G', 'R', 'C'};
 constexpr std::uint32_t entryVersion = 1;
+constexpr std::string_view entrySuffix = ".kgr";
+constexpr std::size_t hashDigits = 16;
+constexpr std::size_t shardDigits = 2;
+
+bool
+isLowerHex(std::string_view s)
+{
+    for (char c : s) {
+        if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')))
+            return false;
+    }
+    return !s.empty();
+}
 
 void
 putU32(std::string &out, std::uint32_t v)
@@ -75,6 +88,36 @@ readFile(const std::string &path, std::string &out)
 
 } // namespace
 
+std::string
+entryName(std::uint64_t hash)
+{
+    return detail::vformat("%016llx",
+                           static_cast<unsigned long long>(hash)) +
+           std::string(entrySuffix);
+}
+
+std::string
+shardName(std::uint64_t hash)
+{
+    return entryName(hash).substr(0, shardDigits);
+}
+
+bool
+isEntryName(std::string_view name)
+{
+    return name.size() == hashDigits + entrySuffix.size() &&
+           name.substr(hashDigits) == entrySuffix &&
+           isLowerHex(name.substr(0, hashDigits));
+}
+
+int
+parseShardName(std::string_view name)
+{
+    if (name.size() != shardDigits || !isLowerHex(name))
+        return -1;
+    return std::stoi(std::string(name), nullptr, 16);
+}
+
 CacheStore::CacheStore()
 {
     const char *mode = std::getenv("KAGURA_CACHE");
@@ -98,29 +141,15 @@ CacheStore::global()
 std::string
 CacheStore::entryPath(std::uint64_t hash) const
 {
-    // Shard = the first two hex digits of the 16-digit entry name.
-    return dir + detail::vformat("/%02llx/%016llx.kgr",
-                                 static_cast<unsigned long long>(
-                                     (hash >> 56) & 0xff),
-                                 static_cast<unsigned long long>(hash));
-}
-
-std::string
-CacheStore::legacyEntryPath(std::uint64_t hash) const
-{
-    return dir + detail::vformat("/%016llx.kgr",
-                                 static_cast<unsigned long long>(hash));
+    const std::string name = entryName(hash);
+    return dir + "/" + name.substr(0, shardDigits) + "/" + name;
 }
 
 bool
 CacheStore::ensureShardDir(std::uint64_t hash)
 {
-    const std::string shard =
-        dir + detail::vformat("/%02llx",
-                              static_cast<unsigned long long>(
-                                  (hash >> 56) & 0xff));
     std::error_code ec;
-    std::filesystem::create_directories(shard, ec);
+    std::filesystem::create_directories(dir + "/" + shardName(hash), ec);
     return !ec;
 }
 
@@ -142,17 +171,9 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
     if (!isEnabled)
         return false;
     const std::string path = entryPath(hash);
-    std::string read_path = path;
     std::string blob;
-    bool from_legacy = false;
-    if (!readFile(read_path, blob)) {
-        // Flat-layout fallback: caches written before sharding keep
-        // their entries at the directory root until touched.
-        read_path = legacyEntryPath(hash);
-        if (!readFile(read_path, blob))
-            return false; // plain miss: entry does not exist
-        from_legacy = true;
-    }
+    if (!readFile(path, blob))
+        return false; // plain miss: entry does not exist
 
     // Header: magic, version, key length, payload length.
     constexpr std::size_t header = 4 + 4 + 8 + 8;
@@ -161,13 +182,13 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
         std::string_view(blob).substr(0, 4) !=
             std::string_view(entryMagic, 4) ||
         getU32(blob, 4) != entryVersion) {
-        warnOnce("corrupt", read_path);
+        warnOnce("corrupt", path);
         return false;
     }
     const std::uint64_t key_len = getU64(blob, 8);
     const std::uint64_t payload_len = getU64(blob, 16);
     if (blob.size() != header + key_len + payload_len + checksum_bytes) {
-        warnOnce("corrupt", read_path);
+        warnOnce("corrupt", path);
         return false;
     }
     const std::uint64_t stored_sum =
@@ -175,21 +196,13 @@ CacheStore::lookup(std::uint64_t hash, std::string_view key_text,
     const std::string_view body(blob.data(),
                                 blob.size() - checksum_bytes);
     if (fnv1a64(body) != stored_sum) {
-        warnOnce("corrupt", read_path);
+        warnOnce("corrupt", path);
         return false;
     }
     // Collision safety: the stored key must match byte for byte.
     if (std::string_view(blob).substr(header, key_len) != key_text)
         return false;
     payload_out = blob.substr(header + key_len, payload_len);
-
-    // Transparent migration: move a validated flat entry into its
-    // shard so the next lookup takes the fast path. Best-effort; a
-    // concurrent migrator winning the rename is fine either way.
-    if (from_legacy && ensureShardDir(hash)) {
-        std::error_code ec;
-        std::filesystem::rename(read_path, path, ec);
-    }
     return true;
 }
 
@@ -229,10 +242,10 @@ CacheStore::store(std::uint64_t hash, std::string_view key_text,
 
     // Write-to-temp + rename keeps readers from seeing partial entries.
     const std::string tmp =
-        dir + detail::vformat("/tmp-%ld-%llu",
-                              static_cast<long>(::getpid()),
-                              static_cast<unsigned long long>(
-                                  tempCounter.fetch_add(1)));
+        dir + "/" + std::string(tempPrefix) +
+        detail::vformat("%ld-%llu", static_cast<long>(::getpid()),
+                        static_cast<unsigned long long>(
+                            tempCounter.fetch_add(1)));
     std::FILE *f = std::fopen(tmp.c_str(), "wb");
     if (!f) {
         warnOnce("unwritable", tmp);

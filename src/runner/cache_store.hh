@@ -6,15 +6,14 @@
  * named by the 64-bit job hash and sharded into 256 subdirectories by
  * the first two hex digits of that name (ab/abcd...ef.kgr), keeping
  * directory listings short once fleet sweeps accumulate tens of
- * thousands of entries. Entries written by older flat layouts are
- * still found -- a lookup falls back to the un-sharded path and
- * migrates the file into its shard on the way out. Each entry stores
+ * thousands of entries. Each entry stores
  * the full canonical key text alongside the payload: reads verify the
  * key byte-for-byte, so even a hash collision degrades to a miss, and
  * `cat` on an entry shows a human exactly which configuration it
  * holds. Entries are written to a temp file and renamed into place,
  * so concurrent bench binaries sharing one cache directory never
- * observe a half-written entry; a corrupt or truncated file (killed
+ * observe a half-written entry (they may simulate the same job twice,
+ * but both store the same bytes); a corrupt or truncated file (killed
  * process, disk full) is treated as a miss with a single warning,
  * never an error.
  *
@@ -34,6 +33,27 @@ namespace kagura
 {
 namespace runner
 {
+
+/**
+ * The store's on-disk names, shared with the maintenance scan
+ * (cache_maint.hh). An entry file is the job hash as 16 lower-case
+ * hex digits plus ".kgr"; its shard directory is the first two of
+ * those digits; a writer stages each entry in a file named
+ * tempPrefix... at the store root and renames it into place.
+ */
+constexpr std::string_view tempPrefix = "tmp-";
+
+/** "abcd...ef.kgr" for hash 0xabcd...ef. */
+std::string entryName(std::uint64_t hash);
+
+/** "ab" for hash 0xabcd...ef. */
+std::string shardName(std::uint64_t hash);
+
+/** True when @p name has entryName()'s shape. */
+bool isEntryName(std::string_view name);
+
+/** shardName() inverse: 0..255, or -1 when @p name is no shard. */
+int parseShardName(std::string_view name);
 
 /** The on-disk store; use global() unless testing. */
 class CacheStore
@@ -76,9 +96,6 @@ class CacheStore
 
     /** Sharded entry path for @p hash (tests poke at files directly). */
     std::string entryPath(std::uint64_t hash) const;
-
-    /** Pre-sharding flat path; old entries migrate away from it. */
-    std::string legacyEntryPath(std::uint64_t hash) const;
 
   private:
     void warnOnce(const char *what, const std::string &path);

@@ -170,30 +170,11 @@ runJob(const SimJob &job)
     return runJobDetailed(job).result;
 }
 
-// Set by the harness before sweeps start (bench --daemon /
-// KAGURA_SWEEPD); read at the head of every runJobs() call on the
-// submitting thread.
-static BatchExecutor batchExecutor;
-
-void
-setBatchExecutor(BatchExecutor executor)
-{
-    batchExecutor = std::move(executor);
-}
-
-bool
-batchExecutorInstalled()
-{
-    return static_cast<bool>(batchExecutor);
-}
-
 std::vector<SimResult>
 runJobs(const std::vector<SimJob> &jobs)
 {
     progress().noteQueued(jobs.size());
     std::vector<SimResult> results(jobs.size());
-    if (batchExecutor && batchExecutor(jobs, results))
-        return results;
     const unsigned workers = jobCount();
     if (workers <= 1 || jobs.size() <= 1) {
         for (std::size_t i = 0; i < jobs.size(); ++i)

@@ -19,7 +19,6 @@
 #ifndef KAGURA_RUNNER_RUNNER_HH
 #define KAGURA_RUNNER_RUNNER_HH
 
-#include <functional>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -69,7 +68,7 @@ unsigned jobCount();
  */
 SimResult runJob(const SimJob &job);
 
-/** How one job was satisfied (sweep daemon / telemetry consumers). */
+/** How one job was satisfied (benchmark / telemetry consumers). */
 struct JobOutcome
 {
     SimResult result;
@@ -83,26 +82,8 @@ struct JobOutcome
 JobOutcome runJobDetailed(const SimJob &job);
 
 /**
- * A pluggable whole-batch executor consulted by runJobs() before
- * local execution -- the hook the kagura_sweepd client library uses
- * to forward sweeps to a shared daemon (sweepd/client.hh). The
- * executor fills results[i] for jobs[i] and returns true, or returns
- * false to decline the batch (daemon unreachable, ineligible jobs),
- * in which case runJobs() executes locally as always. An empty
- * function restores local-only execution. Set from the harness before
- * sweeps start, not concurrently with one.
- */
-using BatchExecutor = std::function<bool(const std::vector<SimJob> &,
-                                         std::vector<SimResult> &)>;
-void setBatchExecutor(BatchExecutor executor);
-
-/** True when a batch executor is currently installed. */
-bool batchExecutorInstalled();
-
-/**
  * Execute @p jobs across jobCount() workers and return their results
- * in job order. results[i] corresponds to jobs[i], always -- whether
- * the batch ran locally or through an installed batch executor.
+ * in job order. results[i] corresponds to jobs[i], always.
  */
 std::vector<SimResult> runJobs(const std::vector<SimJob> &jobs);
 

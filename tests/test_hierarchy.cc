@@ -6,7 +6,7 @@
  * non-inclusive / write-back / write-no-allocate contract, the
  * L2 state-reset-vs-fresh-cache replay pin for both checkpoint-flush
  * and power-loss reset flavors, KAGURA_JOBS determinism with the L2
- * enabled, the conditional canonical-key emission + sweepd codec
+ * enabled, the conditional canonical-key emission + key codec
  * round-trip law for the l2.* keys, and the runner result-codec's
  * tagged L2-telemetry section.
  */
@@ -464,7 +464,7 @@ TEST(HierarchySuite, SuiteIsDeterministicAcrossWorkerCounts)
 }
 
 // ---------------------------------------------------------------
-// Canonical key + sweepd codec
+// Canonical key + key codec
 // ---------------------------------------------------------------
 
 TEST(HierarchyConfig, NoL2ConfigKeyIsUnchanged)
@@ -545,7 +545,7 @@ TEST(HierarchyConfig, CodecRejectsMalformedL2Keys)
 
     // Explicit-default spelling: the emitter omits l2.* lines for
     // single-level configs, so l2.enabled=0 is non-canonical and the
-    // round-trip law must reject it (typed BadJob at the daemon).
+    // round-trip law must reject it.
     EXPECT_EQ(parseCanonicalKey(
                   replaceLine(good, "l2.enabled=1", "l2.enabled=0"),
                   parsed, error),

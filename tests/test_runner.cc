@@ -296,9 +296,6 @@ TEST_F(RunnerTests, CacheStoreShardsEntriesBySubdirectory)
     EXPECT_NE(store.entryPath(0x0000000000000007ULL)
                   .find("/00/0000000000000007.kgr"),
               std::string::npos);
-    EXPECT_EQ(store.legacyEntryPath(0xab123456789abcdeULL)
-                  .find("/ab/"),
-              std::string::npos);
 
     // Entries with distinct high bytes land in distinct shard dirs.
     store.store(0x1100000000000001ULL, "a\n", "pay-a");
@@ -311,38 +308,6 @@ TEST_F(RunnerTests, CacheStoreShardsEntriesBySubdirectory)
     std::string out;
     ASSERT_TRUE(store.lookup(0x1100000000000001ULL, "a\n", out));
     EXPECT_EQ(out, "pay-a");
-}
-
-TEST_F(RunnerTests, CacheStoreMigratesFlatEntriesIntoShards)
-{
-    const std::string dir = tempDir("migrate");
-    const std::uint64_t hash = 0xcd00000000000042ULL;
-    const std::string key = "legacy-key\n";
-
-    // Plant a valid entry at the pre-sharding flat path by writing it
-    // sharded, then moving the file to the directory root.
-    runner::CacheStore store(dir);
-    store.store(hash, key, "legacy-payload");
-    std::filesystem::rename(store.entryPath(hash),
-                            store.legacyEntryPath(hash));
-    ASSERT_FALSE(std::filesystem::exists(store.entryPath(hash)));
-
-    // The lookup still hits -- and migrates the entry into its shard.
-    std::string out;
-    ASSERT_TRUE(store.lookup(hash, key, out));
-    EXPECT_EQ(out, "legacy-payload");
-    EXPECT_TRUE(std::filesystem::exists(store.entryPath(hash)));
-    EXPECT_FALSE(std::filesystem::exists(store.legacyEntryPath(hash)));
-    ASSERT_TRUE(store.lookup(hash, key, out)); // sharded fast path
-    EXPECT_EQ(out, "legacy-payload");
-
-    // A key-mismatched flat entry is a miss and must NOT migrate
-    // (the next reader revalidates it from the flat path).
-    std::filesystem::rename(store.entryPath(hash),
-                            store.legacyEntryPath(hash));
-    EXPECT_FALSE(store.lookup(hash, "other-key\n", out));
-    EXPECT_TRUE(std::filesystem::exists(store.legacyEntryPath(hash)));
-    EXPECT_FALSE(std::filesystem::exists(store.entryPath(hash)));
 }
 
 TEST_F(RunnerTests, ParseCountAcceptsOnlyWholePositiveNumbers)

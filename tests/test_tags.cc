@@ -7,7 +7,7 @@
  * collision unit tests, reset-cause telemetry, the
  * state-reset-vs-fresh-cache replay pin for the shared reset hook,
  * KAGURA_JOBS determinism for the new layouts, canonical-key
- * conditional emission + the sweepd codec round-trip law, and the
+ * conditional emission + the key codec round-trip law, and the
  * runner result-codec's optional tag-stats section.
  */
 
@@ -436,7 +436,7 @@ TEST(TagLayoutBehavior, SuiteIsDeterministicAcrossWorkerCounts)
 }
 
 // ---------------------------------------------------------------
-// Canonical key + sweepd codec
+// Canonical key + key codec
 // ---------------------------------------------------------------
 
 TEST(TagLayoutConfig, BaselineLayoutIsOmittedFromTheCanonicalKey)
@@ -492,8 +492,8 @@ TEST(TagLayoutConfig, CodecRejectsMalformedTagLayoutKeys)
     SimConfig parsed;
     std::string error;
 
-    // Unknown layout name: typed Malformed (the daemon answers
-    // ErrorCode::BadJob), never a silent baseline fallback.
+    // Unknown layout name: typed Malformed, never a silent baseline
+    // fallback.
     EXPECT_EQ(parseCanonicalKey(
                   "workload=crc32\ndcache.tag_layout=dish\n", parsed,
                   error),
